@@ -10,18 +10,26 @@
 //! Warm-up is an identical pass over the same trial range, so every
 //! pooled buffer reaches the exact capacity the measured pass needs —
 //! the same steady state a bench shard reaches after its first trials.
+//!
+//! The same counter gates fresh world builds: a dropped substrate parks
+//! its buffers on its thread, so a warm `build` + drop of either the
+//! analytic or the contract substrate allocates nothing either.
+//!
+//! The counter is process-wide, so the tests take [`serial`] to keep one
+//! test's warm-up out of another's measured window.
 
 use emerge_core::config::SchemeParams;
 use emerge_core::montecarlo::{
     run_protocol_trial_range_pooled, ProtocolMcResults, ProtocolTrialSpec, TrialWorkspace,
 };
 use emerge_core::protocol::AttackMode;
-use emerge_core::substrate::{AnalyticSubstrate, OverlayConfig};
+use emerge_core::substrate::{AnalyticSubstrate, ContractConfig, ContractSubstrate, OverlayConfig};
 use emerge_obs::collector::{install, take};
 use emerge_obs::Collector;
 use emerge_sim::time::SimDuration;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Counts every allocation-path call (alloc, alloc_zeroed, realloc);
 /// frees are uncounted — releasing warm capacity is not the regression
@@ -54,9 +62,62 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Runs the tests of this file one at a time (a failed test's poisoned
+/// lock still serializes the rest).
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// The share cells' world: 2 000 slots with churn.
+fn world_config() -> OverlayConfig {
+    OverlayConfig {
+        n_nodes: 2_000,
+        malicious_fraction: 0.2,
+        mean_lifetime: Some(40_000),
+        horizon: 200_000,
+        ..OverlayConfig::default()
+    }
+}
+
+/// Allocations made by `f`.
+fn allocations_of(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.load(Ordering::SeqCst);
+    f();
+    ALLOCS.load(Ordering::SeqCst) - before
+}
+
+#[test]
+fn warm_world_builds_allocate_nothing() {
+    let _serial = serial();
+    let contract = ContractConfig::over(world_config());
+    // Warm-up: the first builds on this thread allocate the world and
+    // the ledger that every later build and drop recycles.
+    drop(AnalyticSubstrate::build(world_config(), 1));
+    drop(ContractSubstrate::build(contract, 1));
+
+    for seed in [2u64, 3] {
+        let analytic = allocations_of(|| drop(AnalyticSubstrate::build(world_config(), seed)));
+        assert_eq!(
+            analytic, 0,
+            "a warm AnalyticSubstrate::build + drop must not touch the \
+             allocator ({analytic} allocation(s), seed {seed})"
+        );
+        let contract = allocations_of(|| drop(ContractSubstrate::build(contract, seed)));
+        assert_eq!(
+            contract, 0,
+            "a warm ContractSubstrate::build + drop must not touch the \
+             allocator ({contract} allocation(s), seed {seed})"
+        );
+    }
+}
+
 #[test]
 fn steady_state_share_trials_allocate_nothing() {
     const TRIALS: usize = 20;
+    let _serial = serial();
     let spec = ProtocolTrialSpec {
         params: SchemeParams::Share {
             k: 2,
@@ -67,13 +128,7 @@ fn steady_state_share_trials_allocate_nothing() {
         emerging_period: SimDuration::from_ticks(8_000),
         attack: AttackMode::ReleaseAhead,
     };
-    let config = OverlayConfig {
-        n_nodes: 2_000,
-        malicious_fraction: 0.2,
-        mean_lifetime: Some(40_000),
-        horizon: 200_000,
-        ..OverlayConfig::default()
-    };
+    let config = world_config();
     let mut substrate = AnalyticSubstrate::build(config, 0);
     let mut ws = TrialWorkspace::new();
 
@@ -129,6 +184,7 @@ fn steady_state_share_trials_allocate_nothing() {
 #[test]
 fn steady_state_share_trials_allocate_nothing_with_metrics_enabled() {
     const TRIALS: usize = 20;
+    let _serial = serial();
     let spec = ProtocolTrialSpec {
         params: SchemeParams::Share {
             k: 2,
@@ -139,13 +195,7 @@ fn steady_state_share_trials_allocate_nothing_with_metrics_enabled() {
         emerging_period: SimDuration::from_ticks(8_000),
         attack: AttackMode::ReleaseAhead,
     };
-    let config = OverlayConfig {
-        n_nodes: 2_000,
-        malicious_fraction: 0.2,
-        mean_lifetime: Some(40_000),
-        horizon: 200_000,
-        ..OverlayConfig::default()
-    };
+    let config = world_config();
 
     // The collector preallocates its registry and trace ring here, before
     // the measured window opens. (Thread-local, so the plain variant of

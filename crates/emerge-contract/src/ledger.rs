@@ -13,7 +13,7 @@ use crate::error::ContractError;
 pub type AccountId = usize;
 
 /// Free balances plus the contract-owned escrow and treasury pots.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Ledger {
     balances: Vec<u64>,
     escrow: u64,
@@ -24,11 +24,19 @@ impl Ledger {
     /// Creates a ledger with `accounts` accounts holding `initial_balance`
     /// each.
     pub fn new(accounts: usize, initial_balance: u64) -> Self {
-        Ledger {
-            balances: vec![initial_balance; accounts],
-            escrow: 0,
-            treasury: 0,
-        }
+        let mut ledger = Ledger::default();
+        ledger.reset(accounts, initial_balance);
+        ledger
+    }
+
+    /// Resets the ledger in place to `accounts` accounts holding
+    /// `initial_balance` each and empty pots — [`Ledger::new`] reusing
+    /// this ledger's balance storage.
+    pub fn reset(&mut self, accounts: usize, initial_balance: u64) {
+        self.balances.clear();
+        self.balances.resize(accounts, initial_balance);
+        self.escrow = 0;
+        self.treasury = 0;
     }
 
     /// Number of accounts.

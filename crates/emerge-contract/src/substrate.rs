@@ -32,6 +32,7 @@ use emerge_dht::overlay::OverlayConfig;
 use emerge_dht::population::NodeInfo;
 use emerge_sim::time::{SimDuration, SimTime};
 use rand::Rng;
+use std::cell::Cell;
 
 /// Configuration of a contract substrate: the DHT world plus the chain
 /// economy layered on it.
@@ -75,6 +76,13 @@ struct StorageDeal {
     bond: u64,
 }
 
+thread_local! {
+    /// The ledger of the last contract substrate dropped on this thread;
+    /// the next build reuses its balance storage. (The DHT world beneath
+    /// is parked by [`AnalyticSubstrate`] itself.)
+    static SPARE_LEDGER: Cell<Option<Ledger>> = const { Cell::new(None) };
+}
+
 /// The smart-contract release substrate: analytic DHT semantics plus a
 /// deterministic simulated blockchain.
 #[derive(Debug)]
@@ -93,6 +101,10 @@ impl ContractSubstrate {
     /// is identical to `AnalyticSubstrate::build(config.overlay, seed)`'s
     /// (and therefore to the full overlay's).
     ///
+    /// Like the analytic substrate's world, the ledger's storage comes
+    /// from the last contract substrate dropped on this thread, so a warm
+    /// build performs no heap allocation.
+    ///
     /// # Panics
     ///
     /// Panics if `n_nodes == 0`, `malicious_fraction ∉ [0, 1]` or the
@@ -101,7 +113,12 @@ impl ContractSubstrate {
         let inner = AnalyticSubstrate::build(config.overlay, seed);
         // Slot `s` owns account `s`; the depositor account comes last and
         // is funded with the sender's (larger) genesis allocation.
-        let mut ledger = Ledger::new(inner.n_nodes(), config.economy.holder_funds);
+        let mut ledger = SPARE_LEDGER
+            .try_with(Cell::take)
+            .ok()
+            .flatten()
+            .unwrap_or_default();
+        ledger.reset(inner.n_nodes(), config.economy.holder_funds);
         ledger.push_account(config.economy.sender_funds);
         ContractSubstrate {
             inner,
@@ -271,6 +288,14 @@ impl ContractSubstrate {
     }
 }
 
+impl Drop for ContractSubstrate {
+    /// Parks the ledger for the thread's next build.
+    fn drop(&mut self) {
+        let ledger = std::mem::take(&mut self.ledger);
+        let _ = SPARE_LEDGER.try_with(|spare| spare.set(Some(ledger)));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,6 +329,43 @@ mod tests {
             overlay.closest_slots(&target, 8),
             contract.closest_slots(&target, 8)
         );
+    }
+
+    #[test]
+    fn recycled_builds_match_builds_on_a_fresh_thread() {
+        let cfg = config(64);
+        for seed in [1u64, 9, 0xC0FFEE] {
+            // Dirty the world this thread parks for the next build.
+            let mut dirty = ContractSubstrate::build(cfg, seed ^ 1);
+            let key = NodeId::from_name(b"deal");
+            dirty.store(key, b"v".to_vec(), Some(SimDuration::from_ticks(500)));
+            dirty.store(key, b"v".to_vec(), None);
+            dirty.advance_to(SimTime::from_ticks(300));
+            drop(dirty);
+
+            let recycled = ContractSubstrate::build(cfg, seed);
+            // A new thread has nothing parked.
+            let fresh = std::thread::spawn(move || {
+                let sub = ContractSubstrate::build(cfg, seed);
+                let generations: Vec<Vec<NodeInfo>> =
+                    (0..64).map(|s| sub.generations(s).to_vec()).collect();
+                (
+                    sub.ledger().clone(),
+                    generations,
+                    sub.closest_slots(&key, 5),
+                )
+            })
+            .join()
+            .expect("fresh-thread build");
+            assert_eq!(recycled.ledger(), &fresh.0);
+            assert_eq!(recycled.now(), SimTime::ZERO);
+            assert_eq!(recycled.open_storage_deals(), 0);
+            assert_eq!(recycled.find_value(key), None);
+            for (slot, generations) in fresh.1.iter().enumerate() {
+                assert_eq!(recycled.generations(slot), generations.as_slice());
+            }
+            assert_eq!(recycled.closest_slots(&key, 5), fresh.2);
+        }
     }
 
     #[test]

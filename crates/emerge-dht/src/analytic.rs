@@ -15,7 +15,13 @@
 //!   that touches ~30 holders of a 10 000-node world never pays for the
 //!   other 9 970 timelines;
 //! * **no network model** — storage is an oracle: values land on the
-//!   responsible slots instantly and lookups read them back directly.
+//!   responsible slots instantly and lookups read them back directly;
+//! * **recycled builds** — a dropped substrate parks its world's buffers
+//!   (genesis, ID index, timelines, stores) on its thread, and
+//!   [`AnalyticSubstrate::build`] takes them back and re-seeds them via
+//!   [`AnalyticSubstrate::rebuild`]. A fresh world per trial then costs
+//!   no allocation and no page faults once warm; at most one world is
+//!   parked per thread.
 //!
 //! Because holder resolution is exact (the XOR-closest generation-0 ID)
 //! and lazily sampled timelines are bit-identical to eagerly sampled ones,
@@ -24,7 +30,7 @@
 //! enforces this for all four schemes.
 
 use crate::id::NodeId;
-use crate::index::{IndexScratch, SortedIdIndex};
+use crate::index::SortedIdIndex;
 use crate::overlay::OverlayConfig;
 use crate::population::{self, Genesis, NodeInfo};
 use crate::storage::Store;
@@ -32,7 +38,7 @@ use emerge_obs::metrics::CounterId;
 use emerge_sim::rng::SeedSource;
 use emerge_sim::time::{SimDuration, SimTime};
 use rand::Rng;
-use std::cell::{OnceCell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashMap;
 
 /// Holder resolutions served by the analytic substrate's sorted-ID
@@ -44,73 +50,111 @@ static RESOLVES: CounterId = CounterId::new("dht.analytic.resolves");
 pub struct AnalyticSubstrate {
     config: OverlayConfig,
     seed: SeedSource,
+    now: SimTime,
+    world: World,
+}
+
+/// The heap storage of one analytic world, detached from its config and
+/// seed. Dropping a substrate parks its world on the thread (see
+/// [`SPARE_WORLD`]) and the next build there starts from it.
+#[derive(Debug)]
+struct World {
     genesis: Genesis,
     /// Per-slot generation timelines, materialized on first access.
     timelines: Vec<OnceCell<Vec<NodeInfo>>>,
-    /// Timeline buffers recovered by [`rebuild`](Self::rebuild), handed
-    /// back out as later worlds materialize slots — the recycling that
-    /// makes a warm rebuilt world allocation-free.
+    /// Timeline buffers recovered by [`AnalyticSubstrate::rebuild`],
+    /// handed back out as later worlds materialize slots — the recycling
+    /// that makes a warm rebuilt world allocation-free.
     timeline_pool: RefCell<Vec<Vec<NodeInfo>>>,
     /// The sorted generation-0 ID index behind closest-slot resolution
     /// (shared machinery with the full overlay).
     index: SortedIdIndex,
-    /// Decoration scratch for warm index rebuilds.
-    index_scratch: IndexScratch,
-    /// Shuffle scratch for warm genesis re-marking.
-    marking_scratch: Vec<usize>,
+    /// Scratch for the genesis marking shuffle, then for the index's
+    /// counting sort.
+    scratch: Vec<u32>,
     /// Slot-local stores, created on first write.
     stores: HashMap<usize, Store>,
-    now: SimTime,
+}
+
+impl Default for World {
+    fn default() -> Self {
+        World {
+            genesis: Genesis::empty(),
+            timelines: Vec::new(),
+            timeline_pool: RefCell::default(),
+            index: SortedIdIndex::default(),
+            scratch: Vec::new(),
+            stores: HashMap::new(),
+        }
+    }
+}
+
+thread_local! {
+    /// The world of the last substrate dropped on this thread: at most
+    /// one world's buffers per thread, so a fresh build per trial neither
+    /// allocates nor page-faults its storage back in.
+    static SPARE_WORLD: Cell<Option<World>> = const { Cell::new(None) };
 }
 
 impl AnalyticSubstrate {
     /// Builds the substrate deterministically from `seed`. The population
     /// is identical to `Overlay::build(config, seed)`'s.
     ///
+    /// The storage comes from the last substrate dropped on this thread,
+    /// if any, so a warm build performs no heap allocation.
+    ///
     /// # Panics
     ///
     /// Panics if `n_nodes == 0` or `malicious_fraction ∉ [0, 1]`.
     pub fn build(config: OverlayConfig, seed: u64) -> Self {
-        let seed = SeedSource::new(seed);
-        let genesis = Genesis::sample(&config.population(), &seed);
-        let n = genesis.n_nodes();
-        let index = SortedIdIndex::build(genesis.initial_ids());
-        AnalyticSubstrate {
+        let world = SPARE_WORLD
+            .try_with(Cell::take)
+            .ok()
+            .flatten()
+            .unwrap_or_default();
+        let mut substrate = AnalyticSubstrate {
             config,
-            seed,
-            genesis,
-            timelines: (0..n).map(|_| OnceCell::new()).collect(),
-            timeline_pool: RefCell::new(Vec::new()),
-            index,
-            index_scratch: IndexScratch::default(),
-            marking_scratch: Vec::new(),
-            stores: HashMap::new(),
+            seed: SeedSource::new(seed),
             now: SimTime::ZERO,
-        }
+            world,
+        };
+        substrate.rebuild(seed);
+        substrate
     }
 
     /// Re-seeds the substrate in place: bit-identical observable state to
     /// `AnalyticSubstrate::build(config, seed)` with the retained config,
     /// but recycling every buffer the previous world owned — genesis
-    /// identity/marking vectors, the sorted ID index (plus its sort
-    /// scratch) and the materialized slot timelines, which return to a
-    /// pool and are reissued as the new world's slots are first queried.
-    /// After a warm-up world of the same shape, a rebuild plus a trial's
-    /// worth of queries performs no heap allocation.
+    /// identity/marking vectors, the sorted ID index and the materialized
+    /// slot timelines, which return to a pool and are reissued as the new
+    /// world's slots are first queried. After a warm-up world of the same
+    /// shape, a rebuild plus a trial's worth of queries performs no heap
+    /// allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_nodes == 0` or `malicious_fraction ∉ [0, 1]`.
     pub fn rebuild(&mut self, seed: u64) {
         let seed = SeedSource::new(seed);
         self.seed = seed;
-        self.genesis.resample(&seed, &mut self.marking_scratch);
-        self.index
-            .rebuild(self.genesis.initial_ids(), &mut self.index_scratch);
-        let pool = self.timeline_pool.get_mut();
-        for cell in &mut self.timelines {
+        self.now = SimTime::ZERO;
+        let world = &mut self.world;
+        world
+            .genesis
+            .resample(&self.config.population(), &seed, &mut world.scratch);
+        world
+            .index
+            .rebuild(world.genesis.initial_ids(), &mut world.scratch);
+        let pool = world.timeline_pool.get_mut();
+        for cell in &mut world.timelines {
             if let Some(buf) = cell.take() {
                 pool.push(buf);
             }
         }
-        self.stores.clear();
-        self.now = SimTime::ZERO;
+        world
+            .timelines
+            .resize_with(world.genesis.n_nodes(), OnceCell::new);
+        world.stores.clear();
     }
 
     /// The configuration this substrate was built with.
@@ -120,7 +164,7 @@ impl AnalyticSubstrate {
 
     /// Number of population slots.
     pub fn n_nodes(&self) -> usize {
-        self.genesis.n_nodes()
+        self.world.genesis.n_nodes()
     }
 
     /// Current simulated time.
@@ -147,9 +191,14 @@ impl AnalyticSubstrate {
     /// All generations of a slot, in order (sampled on first access into
     /// a pooled buffer when one is available).
     pub fn generations(&self, slot: usize) -> &[NodeInfo] {
-        self.timelines[slot].get_or_init(|| {
-            let mut buf = self.timeline_pool.borrow_mut().pop().unwrap_or_default();
-            self.genesis.slot_generations_into(slot, &mut buf);
+        self.world.timelines[slot].get_or_init(|| {
+            let mut buf = self
+                .world
+                .timeline_pool
+                .borrow_mut()
+                .pop()
+                .unwrap_or_default();
+            self.world.genesis.slot_generations_into(slot, &mut buf);
             buf
         })
     }
@@ -157,7 +206,11 @@ impl AnalyticSubstrate {
     /// How many slot timelines have been materialized so far (diagnostic
     /// for the laziness the Monte-Carlo engine relies on).
     pub fn materialized_timelines(&self) -> usize {
-        self.timelines.iter().filter(|c| c.get().is_some()).count()
+        self.world
+            .timelines
+            .iter()
+            .filter(|c| c.get().is_some())
+            .count()
     }
 
     /// The generation occupying `slot` at time `t`.
@@ -179,7 +232,7 @@ impl AnalyticSubstrate {
     /// Count of initially malicious nodes (generation 0; no timeline
     /// sampling needed).
     pub fn initial_malicious_count(&self) -> usize {
-        self.genesis.initial_malicious_count()
+        self.world.genesis.initial_malicious_count()
     }
 
     /// The seed source, for components that fork protocol-level streams.
@@ -192,13 +245,13 @@ impl AnalyticSubstrate {
     /// `Overlay::closest_slots`, computed by descending the implicit
     /// binary trie over the sorted ID index.
     pub fn closest_slots(&self, target: &NodeId, count: usize) -> Vec<usize> {
-        self.index.closest_slots(target, count)
+        self.world.index.closest_slots(target, count)
     }
 
     /// The slot responsible for `target` (XOR-closest generation-0 ID).
     pub fn resolve_holder(&self, target: &NodeId) -> usize {
         RESOLVES.incr();
-        self.index.resolve(target)
+        self.world.index.resolve(target)
     }
 
     /// Samples `count` distinct slots uniformly (same stream contract as
@@ -235,7 +288,8 @@ impl AnalyticSubstrate {
     ) -> Vec<usize> {
         let targets = self.closest_slots(&key, self.config.replication);
         for &slot in &targets {
-            self.stores
+            self.world
+                .stores
                 .entry(slot)
                 .or_default()
                 .put(key, value.clone(), self.now, ttl);
@@ -248,6 +302,7 @@ impl AnalyticSubstrate {
         let targets = self.closest_slots(&key, self.config.replication);
         for slot in targets {
             if let Some(v) = self
+                .world
                 .stores
                 .get(&slot)
                 .and_then(|store| store.get(&key, self.now))
@@ -260,7 +315,16 @@ impl AnalyticSubstrate {
 
     /// Direct access to a slot's local store (created on first use).
     pub fn store_of(&mut self, slot: usize) -> &mut Store {
-        self.stores.entry(slot).or_default()
+        self.world.stores.entry(slot).or_default()
+    }
+}
+
+impl Drop for AnalyticSubstrate {
+    /// Parks this world's buffers for the thread's next build, replacing
+    /// any world parked before. During thread teardown they are freed.
+    fn drop(&mut self) {
+        let world = std::mem::take(&mut self.world);
+        let _ = SPARE_WORLD.try_with(|spare| spare.set(Some(world)));
     }
 }
 
@@ -344,6 +408,38 @@ mod tests {
                 );
             }
             assert_eq!(warm.find_value(NodeId::from_name(b"k")), None);
+        }
+    }
+
+    #[test]
+    fn recycled_builds_match_the_overlay_across_sizes() {
+        // Each build starts from the world the previous iteration dropped,
+        // dirty and of another size.
+        for (n, seed) in [(500usize, 1u64), (120, 2), (900, 3), (1, 4)] {
+            let cfg = OverlayConfig {
+                n_nodes: n,
+                malicious_fraction: 0.3,
+                mean_lifetime: Some(2_000),
+                horizon: 30_000,
+                ..OverlayConfig::default()
+            };
+            let mut sub = AnalyticSubstrate::build(cfg, seed);
+            let overlay = Overlay::build(cfg, seed);
+            assert_eq!(sub.materialized_timelines(), 0);
+            assert_eq!(sub.n_nodes(), n);
+            for i in 0..20 {
+                let target = NodeId::from_name(format!("probe-{i}").as_bytes());
+                assert_eq!(
+                    sub.closest_slots(&target, 4),
+                    overlay.closest_slots(&target, 4)
+                );
+            }
+            for slot in 0..n {
+                assert_eq!(sub.generations(slot), overlay.generations(slot));
+            }
+            assert_eq!(sub.find_value(NodeId::from_name(b"dirt")), None);
+            sub.store(NodeId::from_name(b"dirt"), b"v".to_vec());
+            sub.advance_to(SimTime::from_ticks(77));
         }
     }
 

@@ -19,58 +19,60 @@
 use crate::id::{NodeId, ID_BITS};
 
 /// `(id, slot)` pairs in ascending ID order, with closest-slot queries.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SortedIdIndex {
     sorted: Vec<(NodeId, u32)>,
 }
 
-/// Reusable decoration buffer for [`SortedIdIndex::rebuild`], so repeated
-/// world builds sort without reallocating the tuple staging area.
-#[derive(Debug, Default)]
-pub struct IndexScratch {
-    decorated: Vec<(u64, NodeId, u32)>,
-}
-
 impl SortedIdIndex {
     /// Builds the index over `ids`, where position `i` is slot `i`.
-    ///
-    /// Uses a decorated sort: comparing 20-byte IDs byte-wise is the
-    /// dominant cost of world construction at 10 000 slots, and almost
-    /// every comparison is already decided by the first eight bytes.
-    /// Sorting `(u64 prefix, id, slot)` tuples resolves those with one
-    /// integer compare and falls back to the full ID only on prefix ties
-    /// — the tuple order equals the plain `(id, slot)` order, so the
-    /// index (and every resolution built on it) is unchanged.
     pub fn build(ids: &[NodeId]) -> Self {
-        let mut decorated: Vec<(u64, NodeId, u32)> = ids
-            .iter()
-            .enumerate()
-            .map(|(slot, id)| (prefix64(id), *id, slot as u32))
-            .collect();
-        decorated.sort_unstable();
-        SortedIdIndex {
-            sorted: decorated
-                .into_iter()
-                .map(|(_, id, slot)| (id, slot))
-                .collect(),
-        }
+        let mut index = SortedIdIndex::default();
+        index.rebuild(ids, &mut Vec::new());
+        index
     }
 
-    /// Rebuilds the index over `ids` in place — identical order and
-    /// content to [`SortedIdIndex::build`], but reusing both the sorted
-    /// storage and the caller's decoration scratch. `sort_unstable` is
-    /// in-place, so a warm rebuild performs no heap allocation.
-    pub fn rebuild(&mut self, ids: &[NodeId], scratch: &mut IndexScratch) {
-        scratch.decorated.clear();
-        scratch.decorated.extend(
-            ids.iter()
-                .enumerate()
-                .map(|(slot, id)| (prefix64(id), *id, slot as u32)),
-        );
-        scratch.decorated.sort_unstable();
+    /// Rebuilds the index over `ids` in place, reusing the previous
+    /// index's storage and the caller's `scratch` (which ends up holding
+    /// bucket ends): a warm rebuild performs no heap allocation.
+    ///
+    /// A counting sort: each ID is scattered to the bucket named by its
+    /// top `⌈log₂ n⌉` bits, then each bucket is sorted by full
+    /// `(id, slot)`. Random IDs leave about one entry per bucket, so the
+    /// build is linear; clustered IDs degrade it to one `O(n log n)`
+    /// sort. Buckets are ordered by prefix, so the result is exactly the
+    /// plain `(id, slot)` sort, and every resolution built on it is
+    /// unchanged.
+    pub fn rebuild(&mut self, ids: &[NodeId], scratch: &mut Vec<u32>) {
+        let bits = usize::BITS - ids.len().saturating_sub(1).leading_zeros();
+        let bucket = |id: &NodeId| prefix64(id).checked_shr(64 - bits).unwrap_or(0) as usize;
+
+        let cursors = scratch;
+        cursors.clear();
+        cursors.resize(1 << bits, 0);
+        for id in ids {
+            cursors[bucket(id)] += 1;
+        }
+        // Exclusive prefix sums: each cursor starts at its bucket's start.
+        let mut start = 0;
+        for cursor in cursors.iter_mut() {
+            let count = *cursor;
+            *cursor = start;
+            start += count;
+        }
         self.sorted.clear();
-        self.sorted
-            .extend(scratch.decorated.iter().map(|&(_, id, slot)| (id, slot)));
+        self.sorted.resize(ids.len(), (NodeId::ZERO, 0));
+        for (id, slot) in ids.iter().zip(0..) {
+            let cursor = &mut cursors[bucket(id)];
+            self.sorted[*cursor as usize] = (*id, slot);
+            *cursor += 1;
+        }
+        // Each cursor now marks its bucket's end.
+        let mut start = 0;
+        for &end in cursors.iter() {
+            self.sorted[start..end as usize].sort_unstable();
+            start = end as usize;
+        }
     }
 
     /// Number of indexed IDs.
@@ -180,17 +182,19 @@ impl SortedIdIndex {
     }
 }
 
+/// The top 64 bits of `id`.
 fn prefix64(id: &NodeId) -> u64 {
-    // LINT-WAIVER(panic): a NodeId is 32 bytes, so the 8-byte prefix slice always converts
-    u64::from_be_bytes(id.as_bytes()[..8].try_into().expect("8-byte prefix"))
+    let [a, b, c, d, e, f, g, h, ..] = id.0;
+    u64::from_be_bytes([a, b, c, d, e, f, g, h])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::id::sort_by_distance;
+    use crate::id::{sort_by_distance, ID_LEN};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn random_ids(n: usize, seed: u64) -> Vec<NodeId> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -236,6 +240,94 @@ mod tests {
             }
         }
         assert_eq!(index.len(), 96);
+    }
+
+    /// The comparison sort this index used before the counting sort,
+    /// kept here as an oracle: `(prefix, id, slot)` tuples, unstable sort.
+    fn decorated_sort(ids: &[NodeId]) -> Vec<(NodeId, u32)> {
+        let mut decorated: Vec<(u64, NodeId, u32)> = ids
+            .iter()
+            .enumerate()
+            .map(|(slot, id)| (prefix64(id), *id, slot as u32))
+            .collect();
+        decorated.sort_unstable();
+        decorated
+            .into_iter()
+            .map(|(_, id, slot)| (id, slot))
+            .collect()
+    }
+
+    /// Every slot by brute-force XOR distance to `target`, ties by slot.
+    fn brute_force(ids: &[NodeId], target: &NodeId) -> Vec<usize> {
+        let mut slots: Vec<usize> = (0..ids.len()).collect();
+        slots.sort_by_key(|&s| (ids[s].distance(target), s));
+        slots
+    }
+
+    /// IDs of one adversarial shape: 0 uniform, 1 drawn from a small
+    /// pool (duplicates), 2 sharing their top 64 bits, 3 sharing their
+    /// top 60 bits with only two distinct low bytes (big buckets, ties).
+    fn shaped_ids(shape: usize, n: usize, rng: &mut StdRng) -> Vec<NodeId> {
+        let pool: Vec<NodeId> = (0..n / 3 + 1).map(|_| NodeId::random(rng)).collect();
+        let shared = NodeId::random(rng);
+        (0..n)
+            .map(|_| {
+                let mut id = NodeId::random(rng);
+                match shape {
+                    1 => id = pool[rng.gen_range(0..pool.len())],
+                    2 => id.0[..8].copy_from_slice(&shared.0[..8]),
+                    3 => {
+                        id.0[..7].copy_from_slice(&shared.0[..7]);
+                        id.0[7] = (shared.0[7] & 0xF0) | (id.0[7] & 0x0F);
+                        id.0[8..].fill(0);
+                        id.0[ID_LEN - 1] = rng.gen_range(0..2);
+                    }
+                    _ => {}
+                }
+                id
+            })
+            .collect()
+    }
+
+    fn assert_exact(index: &SortedIdIndex, ids: &[NodeId], rng: &mut StdRng) {
+        assert_eq!(index.entries(), decorated_sort(ids).as_slice());
+        let mut targets: Vec<NodeId> = (0..4).map(|_| NodeId::random(rng)).collect();
+        targets.push(ids[rng.gen_range(0..ids.len())]);
+        for target in &targets {
+            let expect = brute_force(ids, target);
+            assert_eq!(index.closest_slots(target, ids.len()), expect);
+            assert_eq!(index.resolve(target), expect[0]);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn counting_sort_equals_decorated_and_brute_force_sorts(
+            seed: u64,
+            shape in 0usize..4,
+            size in 0usize..10,
+            next_size in 0usize..10,
+        ) {
+            const SIZES: [usize; 10] = [1, 2, 3, 4, 5, 16, 17, 64, 65, 257];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut ids = shaped_ids(shape, SIZES[size], &mut rng);
+            let mut index = SortedIdIndex::build(&ids);
+            assert_exact(&index, &ids, &mut rng);
+
+            // Joins after the build keep the order exact.
+            for id in shaped_ids(shape, 3, &mut rng) {
+                index.insert(id, ids.len());
+                ids.push(id);
+            }
+            assert_exact(&index, &ids, &mut rng);
+
+            // A warm rebuild over a world of another size, with a dirty
+            // scratch.
+            let ids = shaped_ids(shape, SIZES[next_size], &mut rng);
+            index.rebuild(&ids, &mut vec![u32::MAX; SIZES[size]]);
+            assert_exact(&index, &ids, &mut rng);
+        }
     }
 
     #[test]

@@ -92,6 +92,22 @@ pub struct Genesis {
 }
 
 impl Genesis {
+    /// An empty genesis of zero slots: storage for
+    /// [`Genesis::resample`] to fill, never handed out unfilled.
+    pub(crate) fn empty() -> Self {
+        Genesis {
+            config: PopulationConfig {
+                n_nodes: 0,
+                malicious_fraction: 0.0,
+                mean_lifetime: None,
+                horizon: 0,
+            },
+            seed: SeedSource::new(0),
+            initial_ids: Vec::new(),
+            initial_malicious: Vec::new(),
+        }
+    }
+
     /// Samples generation-0 identities and the exact-count malicious
     /// marking, deterministically from `seed`.
     ///
@@ -99,6 +115,24 @@ impl Genesis {
     ///
     /// Panics if `n_nodes == 0` or `malicious_fraction ∉ [0, 1]`.
     pub fn sample(config: &PopulationConfig, seed: &SeedSource) -> Self {
+        let mut genesis = Genesis::empty();
+        genesis.resample(config, seed, &mut Vec::new());
+        genesis
+    }
+
+    /// [`Genesis::sample`] in place: re-samples this genesis for `config`
+    /// and `seed`, reusing its identity and marking buffers and the
+    /// caller's shuffle scratch. Bit-identical to a fresh sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_nodes == 0` or `malicious_fraction ∉ [0, 1]`.
+    pub fn resample(
+        &mut self,
+        config: &PopulationConfig,
+        seed: &SeedSource,
+        shuffle_scratch: &mut Vec<u32>,
+    ) {
         // LINT-WAIVER(panic): documented # Panics contract on the population configuration
         assert!(config.n_nodes > 0, "population needs at least one node");
         // LINT-WAIVER(panic): documented # Panics contract on the population configuration
@@ -107,24 +141,25 @@ impl Genesis {
             "malicious fraction must be in [0, 1]"
         );
         let n = config.n_nodes;
+        self.config = *config;
+        self.seed = *seed;
         let mut id_rng = seed.stream("node-ids");
-        let initial_ids: Vec<NodeId> = (0..n).map(|_| NodeId::random(&mut id_rng)).collect();
+        self.initial_ids.clear();
+        self.initial_ids
+            .extend((0..n).map(|_| NodeId::random(&mut id_rng)));
 
         // Exact ⌊p·n⌋ malicious marking over generation 0.
         let mut mark_rng = seed.stream("malicious-marking");
         let malicious_count = (config.malicious_fraction * n as f64).floor() as usize;
-        let mut indices: Vec<usize> = (0..n).collect();
-        indices.shuffle(&mut mark_rng);
-        let mut initial_malicious = vec![false; n];
-        for &i in indices.iter().take(malicious_count) {
-            initial_malicious[i] = true;
-        }
-
-        Genesis {
-            config: *config,
-            seed: *seed,
-            initial_ids,
-            initial_malicious,
+        // The shuffle's draws depend only on the length, so shuffling
+        // `u32` slots gives the same marking as shuffling `usize` ones.
+        shuffle_scratch.clear();
+        shuffle_scratch.extend(0..n as u32);
+        shuffle_scratch.shuffle(&mut mark_rng);
+        self.initial_malicious.clear();
+        self.initial_malicious.resize(n, false);
+        for &i in shuffle_scratch.iter().take(malicious_count) {
+            self.initial_malicious[i as usize] = true;
         }
     }
 
@@ -211,30 +246,6 @@ impl Genesis {
             spawn = death;
             gen_id = NodeId::random(&mut churn_rng);
             gen_malicious = churn_rng.gen::<f64>() < self.config.malicious_fraction;
-        }
-    }
-
-    /// Re-samples generation-0 state in place from a new `seed`, reusing
-    /// the identity and marking buffers (and the caller's shuffle
-    /// scratch). Bit-identical to [`Genesis::sample`] with the same
-    /// config; the structural [`PopulationConfig`] is retained.
-    pub fn resample(&mut self, seed: &SeedSource, shuffle_scratch: &mut Vec<usize>) {
-        let n = self.config.n_nodes;
-        self.seed = *seed;
-        let mut id_rng = seed.stream("node-ids");
-        self.initial_ids.clear();
-        self.initial_ids
-            .extend((0..n).map(|_| NodeId::random(&mut id_rng)));
-
-        let mut mark_rng = seed.stream("malicious-marking");
-        let malicious_count = (self.config.malicious_fraction * n as f64).floor() as usize;
-        shuffle_scratch.clear();
-        shuffle_scratch.extend(0..n);
-        shuffle_scratch.shuffle(&mut mark_rng);
-        self.initial_malicious.clear();
-        self.initial_malicious.resize(n, false);
-        for &i in shuffle_scratch.iter().take(malicious_count) {
-            self.initial_malicious[i] = true;
         }
     }
 }
