@@ -59,11 +59,12 @@
 //!
 //! `--floor <trials/sec>` turns the run into a smoke gate: if any
 //! measured cell falls below the floor the process exits nonzero. CI
-//! runs the CI-sized `share_8x3_release_ahead` cell this way so a future
-//! change cannot silently undo the flat-format packaging win:
+//! runs the full-width share cell on one thread this way
+//! (`EMERGE_BASELINE_TRIALS=300`, `EMERGE_MC_THREADS=1`), so a future
+//! change cannot silently undo the zero-allocation share pipeline:
 //!
 //! ```sh
-//! montecarlo_baseline --cell share_8x3 --substrate analytic --floor 120 /tmp/perf.json
+//! montecarlo_baseline --cell share_40x5 --substrate analytic --profile --floor 280 /tmp/perf.json
 //! ```
 //!
 //! ## Phase profiling
@@ -73,16 +74,16 @@
 //! trial pipeline's `emerge-obs` spans (world rebuild, path
 //! construction, package build, share execution — plus the bonded
 //! engine's phases on the contract cell). The binary installs the
-//! counting allocator, so the `allocs` column is live; on the pooled
-//! share cells it shows the steady state holding at zero.
+//! counting allocator, so the `allocs` column is live; on the share
+//! cells of the analytic and contract substrates it shows the steady
+//! state holding at zero.
 //!
 //! Environment: `EMERGE_BASELINE_TRIALS` (default 1000),
 //! `EMERGE_BASELINE_OVERLAY_TRIALS` (default 200) and `EMERGE_MC_THREADS`.
 
 use emerge_bench::mc::{
     run_bonded_faulted_trials_profiled, run_bonded_trials_profiled, run_faulted_trials_profiled,
-    run_protocol_trials_pooled_profiled, run_protocol_trials_profiled,
-    run_protocol_trials_threaded,
+    run_protocol_trials_profiled, run_protocol_trials_threaded,
 };
 use emerge_bench::parallel::mc_threads;
 use emerge_bench::profile::phase_stats;
@@ -102,7 +103,7 @@ use emerge_sim::time::SimDuration;
 
 /// Counting delegate around the system allocator, so the `--profile`
 /// breakdown can attribute heap allocations to pipeline phases (and so a
-/// profiled run can see the pooled pipeline's steady state stay at zero).
+/// profiled run can see the share pipeline's steady state stay at zero).
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
@@ -627,12 +628,6 @@ fn run() -> Result<(), String> {
             continue;
         }
         if args.wants_substrate("analytic") {
-            // Share cells run the pooled (zero-allocation) pipeline:
-            // per-shard substrate rebuilt in place plus a recycled
-            // TrialWorkspace. Bit-identical fingerprints to the
-            // allocating driver (pinned by the emerge-bench test suite),
-            // so the parity gate above still covers it.
-            let pooled = matches!(spec.params, SchemeParams::Share { .. });
             measurements.push(measure(
                 cell,
                 "analytic",
@@ -640,20 +635,9 @@ fn run() -> Result<(), String> {
                 analytic_trials,
                 args.profile,
                 |trials, threads| {
-                    if pooled {
-                        run_protocol_trials_pooled_profiled(
-                            &spec,
-                            trials,
-                            SEED,
-                            threads,
-                            || AnalyticSubstrate::build(config, 0),
-                            |s, ws| s.rebuild(ws),
-                        )
-                    } else {
-                        run_protocol_trials_profiled(&spec, trials, SEED, threads, |ws| {
-                            AnalyticSubstrate::build(config, ws)
-                        })
-                    }
+                    run_protocol_trials_profiled(&spec, trials, SEED, threads, |ws| {
+                        AnalyticSubstrate::build(config, ws)
+                    })
                 },
             )?);
         }

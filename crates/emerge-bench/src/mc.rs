@@ -27,8 +27,7 @@ use emerge_contract::substrate::ContractSubstrate;
 use emerge_core::error::EmergeError;
 use emerge_core::faults::{run_faulted_trial_range, FaultyMcResults};
 use emerge_core::montecarlo::{
-    run_protocol_trial_range, run_protocol_trial_range_pooled, shard_ranges, ProtocolMcResults,
-    ProtocolTrialSpec, TrialWorkspace,
+    run_protocol_trial_range, shard_ranges, ProtocolMcResults, ProtocolTrialSpec,
 };
 use emerge_core::substrate::HolderSubstrate;
 use emerge_faults::{FaultPlan, RecoveryPolicy};
@@ -133,97 +132,6 @@ where
     let ranges = shard_ranges(trials, threads);
     let partials = parallel_map_workers(&ranges, threads, |&(first_trial, count)| {
         collected(|| run_protocol_trial_range(spec, first_trial, count, seed, &substrate_factory))
-    });
-    merge_profiled(partials, ProtocolMcResults::default(), |acc, p| {
-        acc.merge(p);
-    })
-}
-
-/// Pooled form of [`run_protocol_trials_threaded`] for share-scheme
-/// cells: each worker thread builds one substrate (`make_substrate`) and
-/// one [`TrialWorkspace`] for its whole shard, re-seeds the substrate in
-/// place per trial (`reseed`, e.g. `AnalyticSubstrate::rebuild`) and runs
-/// the zero-allocation trial pipeline. Bit-identical results and
-/// fingerprint to the allocating driver for any thread count; after each
-/// shard's first trial the steady state never touches the allocator.
-///
-/// # Errors
-///
-/// Propagates the first shard failure in shard order, including
-/// `InvalidParameters` for non-share schemes (those keep the allocating
-/// driver).
-pub fn run_protocol_trials_pooled_threaded<S, M, R>(
-    spec: &ProtocolTrialSpec,
-    trials: usize,
-    seed: u64,
-    threads: usize,
-    make_substrate: M,
-    reseed: R,
-) -> Result<ProtocolMcResults, EmergeError>
-where
-    S: HolderSubstrate,
-    M: Fn() -> S + Sync,
-    R: Fn(&mut S, u64) + Sync,
-{
-    let ranges = shard_ranges(trials, threads);
-    let partials = parallel_map_workers(&ranges, threads, |&(first_trial, count)| {
-        let mut substrate = make_substrate();
-        let mut ws = TrialWorkspace::new();
-        run_protocol_trial_range_pooled(
-            spec,
-            first_trial,
-            count,
-            seed,
-            &mut substrate,
-            &reseed,
-            &mut ws,
-        )
-    });
-    let mut results = ProtocolMcResults::default();
-    for partial in partials {
-        results.merge(&partial?);
-    }
-    Ok(results)
-}
-
-/// Profiled form of [`run_protocol_trials_pooled_threaded`]: same
-/// per-worker collectors and shard-order telemetry merge as
-/// [`run_protocol_trials_profiled`], over the zero-allocation pooled
-/// pipeline. With a collector installed the pipeline's span guards time
-/// each phase into preallocated registry slots, so the steady state
-/// still never touches the allocator.
-///
-/// # Errors
-///
-/// See [`run_protocol_trials_pooled_threaded`].
-pub fn run_protocol_trials_pooled_profiled<S, M, R>(
-    spec: &ProtocolTrialSpec,
-    trials: usize,
-    seed: u64,
-    threads: usize,
-    make_substrate: M,
-    reseed: R,
-) -> Result<(ProtocolMcResults, MetricsSnapshot), EmergeError>
-where
-    S: HolderSubstrate,
-    M: Fn() -> S + Sync,
-    R: Fn(&mut S, u64) + Sync,
-{
-    let ranges = shard_ranges(trials, threads);
-    let partials = parallel_map_workers(&ranges, threads, |&(first_trial, count)| {
-        collected(|| {
-            let mut substrate = make_substrate();
-            let mut ws = TrialWorkspace::new();
-            run_protocol_trial_range_pooled(
-                spec,
-                first_trial,
-                count,
-                seed,
-                &mut substrate,
-                &reseed,
-                &mut ws,
-            )
-        })
     });
     merge_profiled(partials, ProtocolMcResults::default(), |acc, p| {
         acc.merge(p);
@@ -412,33 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_threaded_runs_match_allocating_for_any_thread_count() {
-        let spec = spec(SchemeParams::Share {
-            k: 2,
-            l: 3,
-            n: 6,
-            m: vec![3, 3],
-        });
-        let serial = run_protocol_trials(&spec, 12, 5, factory).unwrap();
-        for threads in [1usize, 2, 3, 8] {
-            let pooled = run_protocol_trials_pooled_threaded(
-                &spec,
-                12,
-                5,
-                threads,
-                || factory(0),
-                |s, seed| s.rebuild(seed),
-            )
-            .unwrap();
-            assert_eq!(pooled.fingerprint, serial.fingerprint, "{threads} threads");
-            assert_eq!(pooled.released, serial.released);
-            assert_eq!(pooled.clean, serial.clean);
-            assert_eq!(pooled.reconstructed_early, serial.reconstructed_early);
-            assert_eq!(pooled.messages.count(), serial.messages.count());
-        }
-    }
-
-    #[test]
     fn profiled_runs_match_serial_and_capture_phase_telemetry() {
         let spec = spec(SchemeParams::Share {
             k: 2,
@@ -448,16 +329,12 @@ mod tests {
         });
         let serial = run_protocol_trials(&spec, 12, 5, factory).unwrap();
         for threads in [1usize, 3] {
-            let (pooled, telemetry) = run_protocol_trials_pooled_profiled(
-                &spec,
-                12,
-                5,
-                threads,
-                || factory(0),
-                |s, seed| s.rebuild(seed),
-            )
-            .unwrap();
-            assert_eq!(pooled.fingerprint, serial.fingerprint, "{threads} threads");
+            let (profiled, telemetry) =
+                run_protocol_trials_profiled(&spec, 12, 5, threads, factory).unwrap();
+            assert_eq!(
+                profiled.fingerprint, serial.fingerprint,
+                "{threads} threads"
+            );
             // One span per pipeline phase per trial, merged across shards.
             assert_eq!(telemetry.counter("trial.execute.calls"), Some(12));
             assert_eq!(telemetry.counter("trial.world_rebuild.calls"), Some(12));
@@ -470,11 +347,6 @@ mod tests {
             assert!(sealed > 0, "package build seals AEAD bytes");
             assert_eq!(telemetry.counter("package.seal.bytes"), Some(sealed));
         }
-
-        let (allocating, telemetry) =
-            run_protocol_trials_profiled(&spec, 12, 5, 2, factory).unwrap();
-        assert_eq!(allocating.fingerprint, serial.fingerprint);
-        assert_eq!(telemetry.counter("trial.execute.calls"), Some(12));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Per-phase profiling on top of `emerge-obs` telemetry.
 //!
-//! The trial pipelines (pooled and allocating wire-protocol, bonded
-//! contract) are instrumented with `emerge_obs` spans; this module is the
+//! The trial pipelines (wire-protocol and bonded contract) are
+//! instrumented with `emerge_obs` spans; this module is the
 //! single code path that collects their telemetry and turns a
 //! [`MetricsSnapshot`] into a per-phase breakdown. Both the
 //! `montecarlo_baseline --profile` report and the `phase_profile` example

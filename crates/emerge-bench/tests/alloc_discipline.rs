@@ -1,11 +1,12 @@
-//! Steady-state allocation discipline of the pooled trial loop.
+//! Steady-state allocation discipline of the share trial pipeline.
 //!
-//! The pooled Monte-Carlo pipeline (substrate rebuild + `TrialWorkspace`)
-//! promises that after a warm-up pass every trial runs without touching
+//! Every share trial runs through one `TrialWorkspace`-backed trial body,
+//! which promises that after a warm-up every trial runs without touching
 //! the allocator. This test installs a counting `#[global_allocator]`
 //! shim (legal here: integration tests are their own crate roots) and
 //! asserts the promise literally: a second, identical pass over the
-//! share_8x3 analytic cell performs **zero** heap allocations.
+//! share_8x3 analytic cell on a re-seeded substrate performs **zero**
+//! heap allocations.
 //!
 //! Warm-up is an identical pass over the same trial range, so every
 //! pooled buffer reaches the exact capacity the measured pass needs —
@@ -13,14 +14,17 @@
 //!
 //! The same counter gates fresh world builds: a dropped substrate parks
 //! its buffers on its thread, so a warm `build` + drop of either the
-//! analytic or the contract substrate allocates nothing either.
+//! analytic or the contract substrate allocates nothing either. Together
+//! they make the factory-driven range runner (a fresh world per trial, a
+//! fresh workspace per call) allocate per call, never per trial.
 //!
 //! The counter is process-wide, so the tests take [`serial`] to keep one
 //! test's warm-up out of another's measured window.
 
 use emerge_core::config::SchemeParams;
 use emerge_core::montecarlo::{
-    run_protocol_trial_range_pooled, ProtocolMcResults, ProtocolTrialSpec, TrialWorkspace,
+    run_protocol_trial_range, run_protocol_trial_range_pooled, ProtocolMcResults,
+    ProtocolTrialSpec, TrialWorkspace,
 };
 use emerge_core::protocol::AttackMode;
 use emerge_core::substrate::{AnalyticSubstrate, ContractConfig, ContractSubstrate, OverlayConfig};
@@ -82,6 +86,20 @@ fn world_config() -> OverlayConfig {
     }
 }
 
+/// The CI-sized share cell.
+fn share_8x3() -> ProtocolTrialSpec {
+    ProtocolTrialSpec {
+        params: SchemeParams::Share {
+            k: 2,
+            l: 3,
+            n: 8,
+            m: vec![4, 4],
+        },
+        emerging_period: SimDuration::from_ticks(8_000),
+        attack: AttackMode::ReleaseAhead,
+    }
+}
+
 /// Allocations made by `f`.
 fn allocations_of(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.load(Ordering::SeqCst);
@@ -114,20 +132,56 @@ fn warm_world_builds_allocate_nothing() {
     }
 }
 
+/// Allocations of one factory-driven range call over trials `[0, 8)`
+/// and over `[0, 32)`. Two warm-up calls come first, as in the pooled
+/// tests below: the first parks a world on this thread and fills its
+/// timeline pool, the second tops up the pooled timeline capacities under
+/// the pool's stationary hand-out cycle.
+fn factory_call_allocations<S>(factory: impl Fn(u64) -> S + Copy) -> (u64, u64)
+where
+    S: emerge_core::substrate::HolderSubstrate,
+{
+    let spec = share_8x3();
+    let run = |count| {
+        run_protocol_trial_range(&spec, 0, count, 0xB45E, factory).expect("share trials");
+    };
+    run(32);
+    run(32);
+    (allocations_of(|| run(8)), allocations_of(|| run(32)))
+}
+
+/// The factory-driven runner builds a fresh world per trial and a fresh
+/// workspace per call. Warm builds reuse the dropped world's buffers and
+/// the workspace is warm after a call's first trial, so a call costs the
+/// same allocations for 8 trials as for 32: a steady-state trial costs
+/// zero, without a `reseed` closure.
+#[test]
+fn factory_driven_share_trials_allocate_per_call_not_per_trial() {
+    let _serial = serial();
+    let contract = ContractConfig::over(world_config());
+    for (substrate, (short, long)) in [
+        (
+            "analytic",
+            factory_call_allocations(|s| AnalyticSubstrate::build(world_config(), s)),
+        ),
+        (
+            "contract",
+            factory_call_allocations(|s| ContractSubstrate::build(contract, s)),
+        ),
+    ] {
+        assert_eq!(
+            short, long,
+            "{substrate}: a 32-trial call must allocate exactly as much as an \
+             8-trial call ({short} vs {long} allocation(s))"
+        );
+    }
+}
+
 #[test]
 fn steady_state_share_trials_allocate_nothing() {
     const TRIALS: usize = 20;
     let _serial = serial();
-    let spec = ProtocolTrialSpec {
-        params: SchemeParams::Share {
-            k: 2,
-            l: 3,
-            n: 8,
-            m: vec![4, 4],
-        },
-        emerging_period: SimDuration::from_ticks(8_000),
-        attack: AttackMode::ReleaseAhead,
-    };
+    let spec = share_8x3();
     let config = world_config();
     let mut substrate = AnalyticSubstrate::build(config, 0);
     let mut ws = TrialWorkspace::new();
@@ -185,16 +239,7 @@ fn steady_state_share_trials_allocate_nothing() {
 fn steady_state_share_trials_allocate_nothing_with_metrics_enabled() {
     const TRIALS: usize = 20;
     let _serial = serial();
-    let spec = ProtocolTrialSpec {
-        params: SchemeParams::Share {
-            k: 2,
-            l: 3,
-            n: 8,
-            m: vec![4, 4],
-        },
-        emerging_period: SimDuration::from_ticks(8_000),
-        attack: AttackMode::ReleaseAhead,
-    };
+    let spec = share_8x3();
     let config = world_config();
 
     // The collector preallocates its registry and trace ring here, before

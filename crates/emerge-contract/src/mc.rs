@@ -275,13 +275,13 @@ fn record_bonded_trial(results: &mut BondedMcResults, trial_idx: usize, report: 
     results.slashed.record(report.slashed as f64);
     results.fingerprint = results
         .fingerprint
-        .wrapping_add(trial_digest(trial_idx as u64, report));
+        .wrapping_add(bonded_trial_digest(trial_idx as u64, report));
 }
 
 /// Digest of one trial, keyed by its global trial index
 /// ([`emerge_sim::shard::TrialDigest`] — the same accumulator the
 /// wire-protocol engine uses, so the two engines cannot drift apart).
-fn trial_digest(trial_idx: u64, report: &BondedReport) -> u64 {
+fn bonded_trial_digest(trial_idx: u64, report: &BondedReport) -> u64 {
     let mut d = TrialDigest::new();
     d.eat(&trial_idx.to_le_bytes());
     for &slot in &report.slots {

@@ -39,11 +39,9 @@
 use crate::analysis;
 use crate::config::{SchemeKind, SchemeParams};
 use crate::error::EmergeError;
-use crate::package::{build_keyed_packages, build_share_packages, KeySchedule};
+use crate::montecarlo::execute_planned;
 use crate::path::{construct_paths, PathPlan};
-use crate::protocol::{
-    execute_central, execute_keyed, execute_share, AttackMode, RunConfig, RunReport,
-};
+use crate::protocol::{AttackMode, RunConfig, RunReport};
 use crate::substrate::{AnalyticSubstrate, HolderSubstrate, Overlay, OverlayConfig};
 use emerge_cloud::{AccessToken, BlobId, BlobStore};
 use emerge_crypto::aead;
@@ -243,39 +241,17 @@ impl<S: HolderSubstrate> SelfEmergingSystem<S> {
             emerging_period,
             attack: handle.attack,
         };
-        let schedule = KeySchedule::new(handle.sender_seed.clone());
         let secret = secret_for(handle);
-        let report = match &handle.params {
-            SchemeParams::Central => {
-                execute_central(&mut self.substrate, &handle.plan, &secret, &config)
-            }
-            SchemeParams::Disjoint { .. } | SchemeParams::Joint { .. } => {
-                let pkgs = build_keyed_packages(&handle.plan, &handle.params, &schedule, &secret)
-                    // LINT-WAIVER(panic): the plan was validated at construction, so the package build cannot fail
-                    .expect("planned parameters build packages");
-                execute_keyed(
-                    &mut self.substrate,
-                    &handle.plan,
-                    &handle.params,
-                    &pkgs,
-                    &config,
-                )
-            }
-            SchemeParams::Share { .. } => {
-                let pkgs = build_share_packages(&handle.plan, &handle.params, &schedule, &secret)
-                    // LINT-WAIVER(panic): the plan was validated at construction, so the package build cannot fail
-                    .expect("planned parameters build packages");
-                execute_share(
-                    &mut self.substrate,
-                    &handle.plan,
-                    &handle.params,
-                    &pkgs,
-                    &config,
-                )
-            }
-        }
-        // LINT-WAIVER(panic): protocol execution over packages built in this function is infallible
-        .expect("protocol execution is infallible for valid packages");
+        let report = execute_planned(
+            &mut self.substrate,
+            &handle.plan,
+            &handle.params,
+            handle.sender_seed.clone(),
+            &secret,
+            &config,
+        )
+        // LINT-WAIVER(panic): the plan was built for these parameters in `send`, so packaging and execution cannot fail
+        .expect("planned parameters package and execute");
         handle.report = Some(report);
         self.substrate.advance_to(handle.release_time);
     }

@@ -29,8 +29,7 @@
 
 use crate::error::EmergeError;
 use crate::montecarlo::{
-    record_protocol_trial, run_protocol_trial, ProtocolMcResults, ProtocolTrialSpec,
-    SPAN_WORLD_REBUILD,
+    run_protocol_trial, ProtocolMcResults, ProtocolTrialSpec, TrialWorkspace, SPAN_WORLD_REBUILD,
 };
 use crate::substrate::HolderSubstrate;
 use emerge_dht::id::NodeId;
@@ -391,6 +390,7 @@ where
     spec.params.validate()?;
     let seeds = SeedSource::new(seed);
     let mut results = FaultyMcResults::default();
+    let mut ws = TrialWorkspace::new();
     for trial_idx in first_trial..first_trial + count {
         let mut trial_rng = seeds.stream_n("protocol-trial", trial_idx as u64);
         let world_seed = trial_rng.next_u64();
@@ -399,11 +399,15 @@ where
             substrate_factory(world_seed)
         };
         let mut substrate = FaultySubstrate::new(inner, plan.arm(world_seed), policy);
-        let run = run_protocol_trial(spec, &mut substrate, &mut trial_rng)?;
+        let released = run_protocol_trial(
+            spec,
+            trial_idx,
+            &mut substrate,
+            &mut trial_rng,
+            &mut ws,
+            &mut results.base,
+        )?;
         let stats = substrate.fault_stats();
-
-        record_protocol_trial(&mut results.base, trial_idx, &run);
-        let released = run.report.released.is_some();
         let disrupted = stats.disrupted();
         if released && disrupted {
             DEGRADED_SUCCESS.incr();

@@ -20,13 +20,12 @@ use crate::adversary::{CentralTrial, HolderTimeline, KeyedTrial, ShareTrial};
 use crate::config::SchemeParams;
 use crate::error::EmergeError;
 use crate::package::{
-    build_keyed_packages, build_share_packages, build_share_packages_into, KeySchedule,
-    PackageScratch, SharePackages,
+    build_keyed_packages, build_share_packages_into, KeySchedule, PackageScratch, SharePackages,
 };
-use crate::path::{construct_paths, construct_paths_into, PathPlan};
+use crate::path::{construct_paths_into, PathPlan};
 use crate::protocol::{
-    execute_central, execute_keyed, execute_share, execute_share_pooled, AttackMode,
-    PooledRunReport, RunConfig, RunReport, ShareExecScratch,
+    execute_central, execute_keyed, execute_share_pooled, AttackMode, PooledRunReport, RunConfig,
+    RunReport, ShareExecScratch,
 };
 use crate::substrate::HolderSubstrate;
 use emerge_crypto::keys::SymmetricKey;
@@ -38,8 +37,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
 
 /// Span over the per-trial substrate (re)build — `substrate_factory` in
-/// the allocating loop, `reseed` (e.g. `AnalyticSubstrate::rebuild`) in
-/// the pooled one.
+/// [`run_protocol_trial_range`], `reseed` (e.g.
+/// `AnalyticSubstrate::rebuild`) in [`run_protocol_trial_range_pooled`].
 pub static SPAN_WORLD_REBUILD: SpanId = SpanId::new("trial.world_rebuild");
 /// Span over holder-path construction.
 pub static SPAN_PATHS: SpanId = SpanId::new("trial.paths");
@@ -349,7 +348,9 @@ where
 }
 
 /// Runs the contiguous trial range `[first_trial, first_trial + count)`
-/// of a wire-protocol Monte-Carlo batch.
+/// of a wire-protocol Monte-Carlo batch, building a fresh substrate world
+/// per trial via `substrate_factory` (which receives the trial's world
+/// seed).
 ///
 /// Every trial draws its randomness from its own
 /// `SeedSource::stream_n("protocol-trial", trial_idx)` stream keyed by
@@ -357,6 +358,11 @@ where
 /// trials inside a serial [`run_protocol_trials`] batch — no stream
 /// replay, no cross-trial coupling. Shard workers each run one range and
 /// [`ProtocolMcResults::merge`] the partial results.
+///
+/// The trials share one [`TrialWorkspace`] for the call, and each world
+/// is dropped before the next one is built; with a substrate whose warm
+/// `build` reuses the buffers of a dropped world (the analytic and the
+/// contract substrate), a share trial past the first allocates nothing.
 ///
 /// # Errors
 ///
@@ -374,109 +380,97 @@ where
     S: HolderSubstrate,
     F: FnMut(u64) -> S,
 {
+    run_trial_loop(
+        spec,
+        first_trial,
+        count,
+        seed,
+        &mut None,
+        |world: &mut Option<S>, world_seed| {
+            // Drop the previous world first, so the build can reuse it.
+            *world = None;
+            world.insert(substrate_factory(world_seed))
+        },
+        &mut TrialWorkspace::new(),
+    )
+}
+
+/// [`run_protocol_trial_range`] on one substrate that is *re-seeded in
+/// place* per trial (e.g. `AnalyticSubstrate::rebuild`), with a
+/// caller-held [`TrialWorkspace`] that carries its buffers across calls.
+/// Results — including the fingerprint — are bit-identical to a fresh
+/// `build(config, world_seed)` substrate per trial whenever `reseed`
+/// produces the same world as `build`; for a share scheme, a trial past
+/// the first of its shape performs zero heap allocations.
+///
+/// # Errors
+///
+/// See [`run_protocol_trial_range`].
+pub fn run_protocol_trial_range_pooled<S, R>(
+    spec: &ProtocolTrialSpec,
+    first_trial: usize,
+    count: usize,
+    seed: u64,
+    substrate: &mut S,
+    mut reseed: R,
+    ws: &mut TrialWorkspace,
+) -> Result<ProtocolMcResults, EmergeError>
+where
+    S: HolderSubstrate,
+    R: FnMut(&mut S, u64),
+{
+    run_trial_loop(
+        spec,
+        first_trial,
+        count,
+        seed,
+        substrate,
+        |substrate: &mut S, world_seed| {
+            reseed(substrate, world_seed);
+            substrate
+        },
+        ws,
+    )
+}
+
+/// The trial loop of both range runners: per trial, its world from
+/// `world(worlds, world_seed)` (timed as [`SPAN_WORLD_REBUILD`]), then
+/// [`run_protocol_trial`].
+fn run_trial_loop<T, S, W>(
+    spec: &ProtocolTrialSpec,
+    first_trial: usize,
+    count: usize,
+    seed: u64,
+    worlds: &mut T,
+    mut world: W,
+    ws: &mut TrialWorkspace,
+) -> Result<ProtocolMcResults, EmergeError>
+where
+    S: HolderSubstrate,
+    W: for<'a> FnMut(&'a mut T, u64) -> &'a mut S,
+{
     spec.params.validate()?;
     let seeds = SeedSource::new(seed);
     let mut results = ProtocolMcResults::default();
     for trial_idx in first_trial..first_trial + count {
         let mut trial_rng = seeds.stream_n("protocol-trial", trial_idx as u64);
         let world_seed = trial_rng.next_u64();
-        let mut substrate = {
+        let substrate = {
             let _phase = span(&SPAN_WORLD_REBUILD);
-            substrate_factory(world_seed)
+            world(worlds, world_seed)
         };
-        let run = run_protocol_trial(spec, &mut substrate, &mut trial_rng)?;
-        record_protocol_trial(&mut results, trial_idx, &run);
+        run_protocol_trial(spec, trial_idx, substrate, &mut trial_rng, ws, &mut results)?;
     }
     Ok(results)
 }
 
-/// One completed wire-protocol trial: the path plan it ran on, the run
-/// report and the nominal release time `tr`.
-pub(crate) struct TrialRun {
-    pub(crate) plan: PathPlan,
-    pub(crate) report: RunReport,
-    pub(crate) tr: SimTime,
-}
-
-/// Runs one wire-protocol trial on an already-built substrate, drawing
-/// sender randomness from `trial_rng`. Shared verbatim by the plain trial
-/// loop and the fault-plane runner (`crate::faults`) so the two agree bit
-/// for bit whenever the fault plan is empty.
-pub(crate) fn run_protocol_trial<S: HolderSubstrate>(
-    spec: &ProtocolTrialSpec,
-    substrate: &mut S,
-    trial_rng: &mut StdRng,
-) -> Result<TrialRun, EmergeError> {
-    let sender_seed = SymmetricKey::generate(trial_rng);
-    let secret = sender_seed
-        .derive(b"message-secret-key")
-        .as_bytes()
-        .to_vec();
-
-    let plan = {
-        let _phase = span(&SPAN_PATHS);
-        construct_paths(substrate, &spec.params, &sender_seed)?
-    };
-    let config = RunConfig {
-        ts: substrate.now(),
-        emerging_period: spec.emerging_period,
-        attack: spec.attack,
-    };
-    let schedule = KeySchedule::new(sender_seed);
-    let report = match &spec.params {
-        SchemeParams::Central => {
-            let _phase = span(&SPAN_EXECUTE);
-            execute_central(substrate, &plan, &secret, &config)?
-        }
-        SchemeParams::Disjoint { .. } | SchemeParams::Joint { .. } => {
-            let pkgs = {
-                let _phase = span(&SPAN_PACKAGE_BUILD);
-                build_keyed_packages(&plan, &spec.params, &schedule, &secret)?
-            };
-            let _phase = span(&SPAN_EXECUTE);
-            execute_keyed(substrate, &plan, &spec.params, &pkgs, &config)?
-        }
-        SchemeParams::Share { .. } => {
-            let pkgs = {
-                let _phase = span(&SPAN_PACKAGE_BUILD);
-                build_share_packages(&plan, &spec.params, &schedule, &secret)?
-            };
-            let _phase = span(&SPAN_EXECUTE);
-            execute_share(substrate, &plan, &spec.params, &pkgs, &config)?
-        }
-    };
-
-    let tr = config.ts + config.emerging_period;
-    Ok(TrialRun { plan, report, tr })
-}
-
-/// Folds one completed trial into a result batch (rates, message summary
-/// and the index-keyed fingerprint contribution).
-pub(crate) fn record_protocol_trial(
-    results: &mut ProtocolMcResults,
-    trial_idx: usize,
-    run: &TrialRun,
-) {
-    results.released.record(run.report.released.is_some());
-    results.clean.record(run.report.clean_emergence(run.tr));
-    results
-        .reconstructed_early
-        .record(run.report.adversary_reconstruction.is_some());
-    results.messages.record(run.report.messages_sent as f64);
-    results.fingerprint = results.fingerprint.wrapping_add(trial_digest(
-        trial_idx as u64,
-        &run.plan.slots,
-        &run.report,
-    ));
-}
-
-/// Every reusable buffer one Monte-Carlo shard needs to run share-scheme
-/// wire-protocol trials without touching the allocator: the path plan,
-/// the key schedule, the package build output and scratch, the pooled
-/// executor scratch, the pooled report and the per-trial secret buffer.
-/// Build one per shard, reuse it across every trial of every cell; the
-/// first trial of each scheme shape warms the capacities and subsequent
-/// trials allocate nothing.
+/// Every reusable buffer a wire-protocol trial needs: the path plan, the
+/// key schedule, the share package build output and scratch, the share
+/// executor scratch, the share report and the per-trial secret. Build one
+/// per shard and reuse it across every trial of every cell; the first
+/// share trial of each shape warms the capacities and later ones
+/// allocate nothing. (Keyed and central trials allocate their packages
+/// and reports per trial.)
 #[derive(Debug)]
 pub struct TrialWorkspace {
     plan: PathPlan,
@@ -502,6 +496,56 @@ impl TrialWorkspace {
             secret: Vec::new(),
         }
     }
+
+    /// Packages and executes one send of `params` along `self.plan`, with
+    /// keys from `self.schedule` and the secret in `self.secret`. A share
+    /// run leaves its report in `self.report` and returns `None`; the
+    /// other schemes return theirs.
+    fn execute<S: HolderSubstrate + ?Sized>(
+        &mut self,
+        substrate: &mut S,
+        params: &SchemeParams,
+        config: &RunConfig,
+    ) -> Result<Option<RunReport>, EmergeError> {
+        match params {
+            SchemeParams::Central => {
+                let _phase = span(&SPAN_EXECUTE);
+                execute_central(substrate, &self.plan, &self.secret, config).map(Some)
+            }
+            SchemeParams::Disjoint { .. } | SchemeParams::Joint { .. } => {
+                let pkgs = {
+                    let _phase = span(&SPAN_PACKAGE_BUILD);
+                    build_keyed_packages(&self.plan, params, &self.schedule, &self.secret)?
+                };
+                let _phase = span(&SPAN_EXECUTE);
+                execute_keyed(substrate, &self.plan, params, &pkgs, config).map(Some)
+            }
+            SchemeParams::Share { .. } => {
+                {
+                    let _phase = span(&SPAN_PACKAGE_BUILD);
+                    build_share_packages_into(
+                        &self.plan,
+                        params,
+                        &self.schedule,
+                        &self.secret,
+                        &mut self.packages,
+                        &mut self.pkg_scratch,
+                    )?;
+                }
+                let _phase = span(&SPAN_EXECUTE);
+                execute_share_pooled(
+                    substrate,
+                    &self.plan,
+                    params,
+                    &self.packages,
+                    config,
+                    &mut self.exec_scratch,
+                    &mut self.report,
+                )?;
+                Ok(None)
+            }
+        }
+    }
 }
 
 impl Default for TrialWorkspace {
@@ -510,102 +554,109 @@ impl Default for TrialWorkspace {
     }
 }
 
-/// Pooled form of [`run_protocol_trial_range`] for the share scheme: the
-/// caller supplies a substrate that is *re-seeded in place* per trial
-/// (e.g. `AnalyticSubstrate::rebuild`) and a [`TrialWorkspace`] of
-/// recycled buffers, and every trial runs through the pooled
-/// path/builder/executor pipeline. Results — including the fingerprint —
-/// are bit-identical to the allocating loop with a fresh
-/// `build(config, world_seed)` substrate per trial (pinned by test and by
-/// the recorded baseline fingerprints); after the first trial of a scheme
-/// shape, a trial performs zero heap allocations.
-///
-/// # Errors
-///
-/// Returns [`EmergeError::InvalidParameters`] for non-share parameters
-/// (the other schemes keep the allocating loop) and propagates
-/// construction failures such as [`EmergeError::InsufficientNodes`].
-pub fn run_protocol_trial_range_pooled<S, R>(
-    spec: &ProtocolTrialSpec,
-    first_trial: usize,
-    count: usize,
-    seed: u64,
+/// Packages and executes one send along a planned grid, in a fresh
+/// workspace: the one-shot form of the trial body, for
+/// [`crate::emergence`].
+pub(crate) fn execute_planned<S: HolderSubstrate + ?Sized>(
     substrate: &mut S,
-    mut reseed: R,
+    plan: &PathPlan,
+    params: &SchemeParams,
+    sender_seed: SymmetricKey,
+    secret: &[u8],
+    config: &RunConfig,
+) -> Result<RunReport, EmergeError> {
+    let mut ws = TrialWorkspace::new();
+    ws.plan.clone_from(plan);
+    ws.schedule.reset(sender_seed);
+    ws.secret.extend_from_slice(secret);
+    let owned = ws.execute(substrate, params, config)?;
+    Ok(owned.unwrap_or_else(|| ws.report.to_report()))
+}
+
+/// Runs wire-protocol trial `trial_idx` on an already-built substrate,
+/// drawing sender randomness from `trial_rng`, and folds it into
+/// `results` (rates, message summary and the index-keyed fingerprint
+/// contribution). Returns whether the key was released. Shared verbatim
+/// by the range runners and the fault-plane runner (`crate::faults`), so
+/// they agree bit for bit whenever the fault plan is empty.
+pub(crate) fn run_protocol_trial<S: HolderSubstrate + ?Sized>(
+    spec: &ProtocolTrialSpec,
+    trial_idx: usize,
+    substrate: &mut S,
+    trial_rng: &mut StdRng,
     ws: &mut TrialWorkspace,
-) -> Result<ProtocolMcResults, EmergeError>
-where
-    S: HolderSubstrate,
-    R: FnMut(&mut S, u64),
-{
-    spec.params.validate()?;
-    if !matches!(spec.params, SchemeParams::Share { .. }) {
-        return Err(EmergeError::InvalidParameters(
-            "the pooled trial loop supports share parameters only".into(),
-        ));
+    results: &mut ProtocolMcResults,
+) -> Result<bool, EmergeError> {
+    let sender_seed = SymmetricKey::generate(trial_rng);
+    ws.secret.clear();
+    ws.secret
+        .extend_from_slice(sender_seed.derive(b"message-secret-key").as_bytes());
+    {
+        let _phase = span(&SPAN_PATHS);
+        construct_paths_into(&*substrate, &spec.params, &sender_seed, &mut ws.plan)?;
     }
-    let seeds = SeedSource::new(seed);
-    let mut results = ProtocolMcResults::default();
-    for trial_idx in first_trial..first_trial + count {
-        let mut trial_rng = seeds.stream_n("protocol-trial", trial_idx as u64);
-        let world_seed = trial_rng.next_u64();
-        {
-            let _phase = span(&SPAN_WORLD_REBUILD);
-            reseed(substrate, world_seed);
-        }
-        let sender_seed = SymmetricKey::generate(&mut trial_rng);
-        let message_key = sender_seed.derive(b"message-secret-key");
-        ws.secret.clear();
-        ws.secret.extend_from_slice(message_key.as_bytes());
+    let config = RunConfig {
+        ts: substrate.now(),
+        emerging_period: spec.emerging_period,
+        attack: spec.attack,
+    };
+    ws.schedule.reset(sender_seed);
+    let owned = ws.execute(substrate, &spec.params, &config)?;
+    let outcome = match &owned {
+        Some(report) => Outcome::from(report),
+        None => Outcome::from(&ws.report),
+    };
 
-        {
-            let _phase = span(&SPAN_PATHS);
-            construct_paths_into(&*substrate, &spec.params, &sender_seed, &mut ws.plan)?;
-        }
-        let config = RunConfig {
-            ts: substrate.now(),
-            emerging_period: spec.emerging_period,
-            attack: spec.attack,
-        };
-        ws.schedule.reset(sender_seed);
-        {
-            let _phase = span(&SPAN_PACKAGE_BUILD);
-            build_share_packages_into(
-                &ws.plan,
-                &spec.params,
-                &ws.schedule,
-                &ws.secret,
-                &mut ws.packages,
-                &mut ws.pkg_scratch,
-            )?;
-        }
-        {
-            let _phase = span(&SPAN_EXECUTE);
-            execute_share_pooled(
-                substrate,
-                &ws.plan,
-                &spec.params,
-                &ws.packages,
-                &config,
-                &mut ws.exec_scratch,
-                &mut ws.report,
-            )?;
-        }
-
-        let tr = config.ts + config.emerging_period;
-        results.released.record(ws.report.released_at.is_some());
-        results.clean.record(ws.report.clean_emergence(tr));
+    let tr = config.ts + config.emerging_period;
+    let released = outcome.released.is_some();
+    results.released.record(released);
+    results
+        .clean
+        .record(outcome.released.is_some_and(|(at, _)| at == tr) && outcome.adversary.is_none());
+    results
+        .reconstructed_early
+        .record(outcome.adversary.is_some());
+    results.messages.record(outcome.messages as f64);
+    results.fingerprint =
         results
-            .reconstructed_early
-            .record(ws.report.adversary_at.is_some());
-        results.messages.record(ws.report.messages_sent as f64);
-        results.fingerprint = results.fingerprint.wrapping_add(pooled_trial_digest(
-            trial_idx as u64,
-            &ws.plan.slots,
-            &ws.report,
-        ));
+            .fingerprint
+            .wrapping_add(trial_digest(trial_idx as u64, &ws.plan.slots, outcome));
+    Ok(released)
+}
+
+/// The facts of one run that a trial records, borrowed from either
+/// report type.
+#[derive(Clone, Copy)]
+struct Outcome<'a> {
+    released: Option<(SimTime, &'a [u8])>,
+    adversary: Option<(SimTime, &'a [u8])>,
+    failure: Option<&'a str>,
+    messages: u64,
+}
+
+impl<'a> From<&'a RunReport> for Outcome<'a> {
+    fn from(r: &'a RunReport) -> Self {
+        Outcome {
+            released: r.released.as_ref().map(|(at, s)| (*at, s.as_slice())),
+            adversary: r
+                .adversary_reconstruction
+                .as_ref()
+                .map(|(at, s)| (*at, s.as_slice())),
+            failure: r.failure.as_deref(),
+            messages: r.messages_sent,
+        }
     }
-    Ok(results)
+}
+
+impl<'a> From<&'a PooledRunReport> for Outcome<'a> {
+    fn from(r: &'a PooledRunReport) -> Self {
+        Outcome {
+            released: r.released_at.map(|at| (at, r.released_secret.as_slice())),
+            adversary: r.adversary_at.map(|at| (at, r.adversary_secret.as_slice())),
+            failure: r.failure,
+            messages: r.messages_sent,
+        }
+    }
 }
 
 pub use emerge_sim::shard::shard_ranges;
@@ -647,69 +698,29 @@ where
 
 /// Digest of one trial, keyed by its global trial index: FNV-1a
 /// ([`emerge_sim::shard::TrialDigest`]) over the index, the plan's holder
-/// slots and the run report. Keying by the trial index makes the digest
-/// sensitive to *which* trial produced an outcome even though the
+/// slots and the run's outcome. Keying by the trial index makes the
+/// digest sensitive to *which* trial produced an outcome even though the
 /// combination is commutative.
-fn trial_digest(trial_idx: u64, slots: &[usize], report: &RunReport) -> u64 {
+fn trial_digest(trial_idx: u64, slots: &[usize], outcome: Outcome<'_>) -> u64 {
     let mut d = emerge_sim::shard::TrialDigest::new();
     d.eat(&trial_idx.to_le_bytes());
     for &slot in slots {
         d.eat(&(slot as u64).to_le_bytes());
     }
-    match &report.released {
-        Some((at, secret)) => {
-            d.eat(&[1]);
-            d.eat(&at.ticks().to_le_bytes());
-            d.eat(secret);
+    for field in [outcome.released, outcome.adversary] {
+        match field {
+            Some((at, secret)) => {
+                d.eat(&[1]);
+                d.eat(&at.ticks().to_le_bytes());
+                d.eat(secret);
+            }
+            None => d.eat(&[0]),
         }
-        None => d.eat(&[0]),
     }
-    match &report.adversary_reconstruction {
-        Some((at, secret)) => {
-            d.eat(&[1]);
-            d.eat(&at.ticks().to_le_bytes());
-            d.eat(secret);
-        }
-        None => d.eat(&[0]),
-    }
-    if let Some(reason) = &report.failure {
+    if let Some(reason) = outcome.failure {
         d.eat(reason.as_bytes());
     }
-    d.eat(&report.messages_sent.to_le_bytes());
-    d.finish()
-}
-
-/// [`trial_digest`] over a [`PooledRunReport`]: identical byte stream
-/// (the pooled report's secret buffers and `&'static str` failure reasons
-/// serialize to the same bytes as the allocating report's owned copies),
-/// so pooled and allocating runs of the same trials share one
-/// fingerprint.
-fn pooled_trial_digest(trial_idx: u64, slots: &[usize], report: &PooledRunReport) -> u64 {
-    let mut d = emerge_sim::shard::TrialDigest::new();
-    d.eat(&trial_idx.to_le_bytes());
-    for &slot in slots {
-        d.eat(&(slot as u64).to_le_bytes());
-    }
-    match report.released_at {
-        Some(at) => {
-            d.eat(&[1]);
-            d.eat(&at.ticks().to_le_bytes());
-            d.eat(&report.released_secret);
-        }
-        None => d.eat(&[0]),
-    }
-    match report.adversary_at {
-        Some(at) => {
-            d.eat(&[1]);
-            d.eat(&at.ticks().to_le_bytes());
-            d.eat(&report.adversary_secret);
-        }
-        None => d.eat(&[0]),
-    }
-    if let Some(reason) = report.failure {
-        d.eat(reason.as_bytes());
-    }
-    d.eat(&report.messages_sent.to_le_bytes());
+    d.eat(&outcome.messages.to_le_bytes());
     d.finish()
 }
 
@@ -850,10 +861,10 @@ mod tests {
     }
 
     #[test]
-    fn pooled_trial_loop_matches_allocating_loop() {
+    fn pooled_trial_loop_matches_factory_loop() {
         // One workspace and one rebuilt substrate reused across every
         // shape, attack and trial — the exact steady-state reuse pattern
-        // of a bench shard — must reproduce the allocating loop's results
+        // of a bench shard — must reproduce the fresh-world loop's results
         // (fingerprint included) bit for bit.
         let mut ws = TrialWorkspace::new();
         for (params, attack) in [
@@ -943,8 +954,7 @@ mod tests {
     fn workspace_reuse_across_100_trials_matches_fresh_runs() {
         // One workspace and one in-place-rebuilt substrate carried across
         // 100 trials (run as several ranges, like a long-lived bench
-        // shard) must be indistinguishable from 100 fresh allocating
-        // runs.
+        // shard) must be indistinguishable from 100 fresh-world runs.
         let spec = protocol_spec(
             SchemeParams::Share {
                 k: 2,
@@ -991,10 +1001,9 @@ mod tests {
 
             /// Any small share shape, attack mode and trial batch: the
             /// pooled loop (reused workspace, rebuilt substrate) and the
-            /// allocating loop (fresh everything per trial) agree bit for
-            /// bit.
+            /// factory loop (fresh world per trial) agree bit for bit.
             #[test]
-            fn pooled_loop_matches_allocating_loop_for_any_shape(
+            fn pooled_loop_matches_factory_loop_for_any_shape(
                 k in 1usize..=3,
                 l in 1usize..=4,
                 extra in 0usize..=4,
@@ -1043,20 +1052,32 @@ mod tests {
     }
 
     #[test]
-    fn pooled_trial_loop_rejects_non_share_schemes() {
-        let spec = protocol_spec(SchemeParams::Joint { k: 2, l: 3 }, AttackMode::Passive);
-        let mut substrate = AnalyticSubstrate::build(world_config(100, 0.0), 0);
-        let err = run_protocol_trial_range_pooled(
-            &spec,
-            0,
-            1,
-            1,
-            &mut substrate,
-            |s, seed| s.rebuild(seed),
-            &mut TrialWorkspace::new(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, EmergeError::InvalidParameters(_)));
+    fn pooled_trial_loop_matches_factory_loop_for_other_schemes() {
+        // The pooled runner takes every scheme through the same trial
+        // body; a reused workspace between schemes must not leak state.
+        let mut ws = TrialWorkspace::new();
+        let cfg = world_config(120, 0.3);
+        let mut substrate = AnalyticSubstrate::build(cfg, 0);
+        for params in [
+            SchemeParams::Joint { k: 2, l: 3 },
+            SchemeParams::Disjoint { k: 3, l: 2 },
+            SchemeParams::Central,
+        ] {
+            let spec = protocol_spec(params, AttackMode::ReleaseAhead);
+            let factory =
+                run_protocol_trials(&spec, 8, 3, |s| AnalyticSubstrate::build(cfg, s)).unwrap();
+            let pooled = run_protocol_trial_range_pooled(
+                &spec,
+                0,
+                8,
+                3,
+                &mut substrate,
+                |s, seed| s.rebuild(seed),
+                &mut ws,
+            )
+            .unwrap();
+            assert_results_identical(&factory, &pooled);
+        }
     }
 
     #[test]

@@ -387,35 +387,9 @@ pub struct ShareLayerPayload {
 }
 
 impl ShareLayerPayload {
-    /// Exact serialized size, for pre-sizing buffers.
-    fn encoded_len(&self) -> usize {
-        let shares: usize = self
-            .row_key_shares
-            .iter()
-            .map(|s| 1 + 4 + s.data.len())
-            .sum();
-        2 + self.next_hops.len() * ID_LEN
-            + 2
-            + shares
-            + 1
-            + self
-                .core_key_share
-                .as_ref()
-                .map_or(0, |s| 1 + 4 + s.data.len())
-            + 1
-            + if self.bundle_key.is_some() { 32 } else { 0 }
-    }
-
     /// Serializes the payload.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(self.encoded_len());
-        self.encode_into(&mut w);
-        w.into_bytes()
-    }
-
-    /// Serializes the payload into `w` (a reusable scratch buffer in the
-    /// package builder's hot loop).
-    fn encode_into(&self, w: &mut Writer) {
+        let mut w = Writer::new();
         // LINT-WAIVER(wire): hop counts are bounded by MAX_SHARES = 255, far below u16::MAX
         w.put_u16(self.next_hops.len() as u16);
         for id in &self.next_hops {
@@ -444,6 +418,7 @@ impl ShareLayerPayload {
                 w.put_u8(0);
             }
         }
+        w.into_bytes()
     }
 
     /// Parses a payload.
@@ -505,39 +480,6 @@ fn encode_terminal_payload(w: &mut Writer) {
     w.put_u16(0); // row-key shares
     w.put_u8(0); // no core share
     w.put_u8(0); // no bundle key
-}
-
-/// Writes the wire form of a non-terminal header payload straight from
-/// the builder's share matrix — the hot-loop twin of
-/// [`ShareLayerPayload::encode_into`] that borrows everything instead of
-/// cloning `n` key shares per header. Byte-identical output (pinned by
-/// test).
-///
-/// `row_shares[target_row][row]` is sender-row `row`'s share of the
-/// next-column key of `target_row`.
-fn encode_payload_borrowed(
-    w: &mut Writer,
-    next_hops: &[NodeId],
-    row_shares: &[Vec<KeyShare>],
-    row: usize,
-    core_share: &KeyShare,
-    bundle_key: &SymmetricKey,
-) {
-    // LINT-WAIVER(wire): hop counts are bounded by MAX_SHARES = 255, far below u16::MAX
-    w.put_u16(next_hops.len() as u16);
-    for id in next_hops {
-        w.put_raw(id.as_bytes());
-    }
-    // LINT-WAIVER(wire): share counts are bounded by MAX_SHARES = 255, far below u16::MAX
-    w.put_u16(row_shares.len() as u16);
-    for per_target in row_shares {
-        let s = &per_target[row];
-        w.put_u8(s.index);
-        w.put_bytes(&s.data);
-    }
-    w.put_u8(1).put_u8(core_share.index);
-    w.put_bytes(&core_share.data);
-    w.put_u8(1).put_raw(bundle_key.as_bytes());
 }
 
 /// The flat share package (format v2): `l` column segments, delivered in
@@ -646,12 +588,6 @@ const HEADER_NONCE: [u8; 12] = *b"emerge-hdr-2";
 /// likewise single-use: each seals exactly one segment).
 const SEGMENT_NONCE: [u8; 12] = *b"emerge-seg-2";
 
-/// Seals one header under a row key.
-fn seal_header(key: &SymmetricKey, payload: &[u8]) -> Vec<u8> {
-    record_sealed(payload.len());
-    emerge_crypto::aead::seal(key, &HEADER_NONCE, payload, HEADER_AAD)
-}
-
 /// Opens a header. Public so the protocol executor and tests share one
 /// code path.
 ///
@@ -661,83 +597,6 @@ fn seal_header(key: &SymmetricKey, payload: &[u8]) -> Vec<u8> {
 pub fn open_header(key: &SymmetricKey, header: &[u8]) -> Result<ShareLayerPayload, CryptoError> {
     let plain = emerge_crypto::aead::open(key, &HEADER_NONCE, header, HEADER_AAD)?;
     ShareLayerPayload::from_bytes(&plain)
-}
-
-/// The subset of a header payload the protocol executor consumes.
-///
-/// The executor forwards by grid position, so the payload's next-hop
-/// list (the largest field: `n` 20-byte addresses) is validated but
-/// never materialized on this path.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExecutorPayload {
-    /// Shares (all with this row's index) of each next-column row key,
-    /// ordered by target row. Empty at the last column.
-    pub row_key_shares: Vec<KeyShare>,
-    /// This row's share of the next column's core key.
-    pub core_key_share: Option<KeyShare>,
-    /// The bundle key `C_j` opening the next column's segment (absent at
-    /// the last column).
-    pub bundle_key: Option<SymmetricKey>,
-}
-
-/// Opens a header for the executor: same AEAD and wire format as
-/// [`open_header`], same errors on any malformed byte, but the next-hop
-/// list is length-checked and skipped instead of copied out (pinned
-/// equal to [`open_header`]'s projection by test).
-///
-/// # Errors
-///
-/// Returns a [`CryptoError`] for a wrong key, a tampered header, or a
-/// malformed payload.
-pub fn open_header_for_executor(
-    key: &SymmetricKey,
-    header: &[u8],
-) -> Result<ExecutorPayload, CryptoError> {
-    let plain = emerge_crypto::aead::open(key, &HEADER_NONCE, header, HEADER_AAD)?;
-    let mut r = Reader::new(&plain);
-    let hop_count = r.get_u16()? as usize;
-    r.get_raw(hop_count * ID_LEN)?;
-    let share_count = r.get_u16()? as usize;
-    let mut row_key_shares = Vec::with_capacity(share_count.min(r.remaining() / 5 + 1));
-    for _ in 0..share_count {
-        let index = r.get_u8()?;
-        let data = r.get_bytes()?.to_vec();
-        row_key_shares.push(KeyShare::new(index, data));
-    }
-    let core_key_share = match r.get_u8()? {
-        0 => None,
-        1 => {
-            let index = r.get_u8()?;
-            let data = r.get_bytes()?.to_vec();
-            Some(KeyShare::new(index, data))
-        }
-        _ => return Err(CryptoError::Malformed("bad core-share flag")),
-    };
-    let bundle_key = match r.get_u8()? {
-        0 => None,
-        1 => {
-            let raw = r.get_raw(32)?;
-            let mut kb = [0u8; 32];
-            kb.copy_from_slice(raw);
-            Some(SymmetricKey::from_bytes(kb))
-        }
-        _ => return Err(CryptoError::Malformed("bad bundle-key flag")),
-    };
-    r.expect_end()?;
-    Ok(ExecutorPayload {
-        row_key_shares,
-        core_key_share,
-        bundle_key,
-    })
-}
-
-/// Encodes a column's header table — a segment's plaintext (and the
-/// final wire form of the unsealed column-0 segment).
-fn encode_segment(headers: &[Vec<u8>]) -> Vec<u8> {
-    let total: usize = headers.iter().map(|h| 4 + h.len()).sum();
-    let mut w = Writer::with_capacity(2 + total);
-    w.put_table(headers);
-    w.into_bytes()
 }
 
 /// Decodes a column's header table (the plaintext column-0 segment, or
@@ -755,8 +614,7 @@ pub fn decode_segment(bytes: &[u8]) -> Result<Vec<Vec<u8>>, CryptoError> {
 
 /// A decoded header table backed by its single segment buffer: headers
 /// are spans into `blob` instead of per-header copies. This is what the
-/// protocol executor holds and forwards — decoding a 40-row segment costs
-/// two allocations, not forty-two.
+/// protocol executor holds and forwards, refilled in place per column.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SegmentHeaders {
     blob: Vec<u8>,
@@ -782,42 +640,19 @@ impl SegmentHeaders {
     }
 }
 
-/// Decodes a header table into spans over its backing buffer — the same
-/// wire format as [`decode_segment`], without copying each header out.
-///
-/// # Errors
-///
-/// Returns a [`CryptoError`] on truncation or trailing bytes.
-pub fn decode_segment_headers(bytes: Vec<u8>) -> Result<SegmentHeaders, CryptoError> {
-    let spans = {
-        let mut r = Reader::new(&bytes);
-        let count = r.get_u16()? as usize;
-        let mut spans = Vec::with_capacity(count.min(r.remaining() / 4 + 1));
-        for _ in 0..count {
-            let len = r.get_u32()?;
-            // LINT-WAIVER(wire): the reader position is bounded by the u32-framed package length
-            let start = r.position() as u32;
-            r.get_raw(len as usize)?;
-            spans.push((start, len));
-        }
-        r.expect_end()?;
-        spans
-    };
-    Ok(SegmentHeaders { blob: bytes, spans })
-}
-
-/// Opens a sealed column segment into a span-backed header table (the
-/// protocol executor's path; see [`open_segment`] for the copying form).
-///
-/// # Errors
-///
-/// Identical to [`open_segment`].
-pub fn open_segment_headers(
-    key: &SymmetricKey,
-    sealed: &[u8],
-) -> Result<SegmentHeaders, CryptoError> {
-    let plain = emerge_crypto::aead::open(key, &SEGMENT_NONCE, sealed, SEGMENT_AAD)?;
-    decode_segment_headers(plain)
+/// Reads a `u16`-counted table of `u32`-length-prefixed entries as
+/// `(offset, len)` spans over the reader's buffer.
+fn read_table_spans(r: &mut Reader, spans: &mut Vec<(u32, u32)>) -> Result<(), CryptoError> {
+    spans.clear();
+    let count = r.get_u16()? as usize;
+    for _ in 0..count {
+        let len = r.get_u32()?;
+        // LINT-WAIVER(wire): the reader position is bounded by the u32-framed package length
+        let start = r.position() as u32;
+        r.get_raw(len as usize)?;
+        spans.push((start, len));
+    }
+    Ok(())
 }
 
 /// Parses the outer segment table of a serialized [`SharePackage`] into
@@ -839,14 +674,7 @@ pub fn parse_share_segment_spans(
     if r.get_u8()? != SHARE_FORMAT_VERSION {
         return Err(CryptoError::Malformed("unsupported share-package version"));
     }
-    let count = r.get_u16()? as usize;
-    for _ in 0..count {
-        let len = r.get_u32()?;
-        // LINT-WAIVER(wire): the reader position is bounded by the u32-framed package length
-        let start = r.position() as u32;
-        r.get_raw(len as usize)?;
-        spans.push((start, len));
-    }
+    read_table_spans(&mut r, spans)?;
     if spans.is_empty() {
         return Err(CryptoError::Malformed("share package with no segments"));
     }
@@ -856,18 +684,9 @@ pub fn parse_share_segment_spans(
 
 /// Parses `blob` as a header table, writing spans into `spans`.
 fn parse_header_spans(blob: &[u8], spans: &mut Vec<(u32, u32)>) -> Result<(), CryptoError> {
-    spans.clear();
     let mut r = Reader::new(blob);
-    let count = r.get_u16()? as usize;
-    for _ in 0..count {
-        let len = r.get_u32()?;
-        // LINT-WAIVER(wire): the reader position is bounded by the u32-framed package length
-        let start = r.position() as u32;
-        r.get_raw(len as usize)?;
-        spans.push((start, len));
-    }
-    r.expect_end()?;
-    Ok(())
+    read_table_spans(&mut r, spans)?;
+    r.expect_end()
 }
 
 /// Decodes a plaintext header table into a reusable [`SegmentHeaders`],
@@ -875,7 +694,7 @@ fn parse_header_spans(blob: &[u8], spans: &mut Vec<(u32, u32)>) -> Result<(), Cr
 ///
 /// # Errors
 ///
-/// Identical to [`decode_segment_headers`].
+/// Returns a [`CryptoError`] on truncation or trailing bytes.
 pub fn decode_segment_headers_into(
     bytes: &[u8],
     out: &mut SegmentHeaders,
@@ -886,12 +705,12 @@ pub fn decode_segment_headers_into(
 }
 
 /// Opens a sealed column segment into a reusable [`SegmentHeaders`] —
-/// the allocation-free counterpart of [`open_segment_headers`].
+/// the allocation-free counterpart of [`open_segment`].
 ///
 /// # Errors
 ///
-/// Identical to [`open_segment_headers`]. On error `out` is left with an
-/// empty span table.
+/// Identical to [`open_segment`]. On error `out` is left with an empty
+/// span table.
 pub fn open_segment_headers_into(
     key: &SymmetricKey,
     sealed: &[u8],
@@ -905,8 +724,8 @@ pub fn open_segment_headers_into(
 }
 
 /// Opens a sealed header into a reusable plaintext buffer (the pooled
-/// counterpart of the decrypt step inside [`open_header_for_executor`]);
-/// parse the result with [`visit_executor_payload`].
+/// counterpart of the decrypt step inside [`open_header`]); parse the
+/// result with [`visit_executor_payload`].
 ///
 /// # Errors
 ///
@@ -928,12 +747,13 @@ pub type ExecutorPayloadTail<'a> = (Option<(u8, &'a [u8])>, Option<SymmetricKey>
 /// Walks an opened executor payload without copying: `on_share` is called
 /// once per next-column row-key share, in target-row order, with
 /// `(target_row, share_index, share_bytes)`. Returns the core-key share
-/// and the bundle key, mirroring [`open_header_for_executor`]'s
-/// projection field for field.
+/// and the bundle key. The next-hop list is length-checked and skipped:
+/// the executor forwards by grid position. Everything it reports equals
+/// the matching fields of [`open_header`]'s full parse (pinned by test).
 ///
 /// # Errors
 ///
-/// Identical to the parse step of [`open_header_for_executor`].
+/// Identical to the parse step of [`open_header`].
 pub fn visit_executor_payload<'a>(
     plain: &'a [u8],
     mut on_share: impl FnMut(usize, u8, &'a [u8]),
@@ -970,13 +790,6 @@ pub fn visit_executor_payload<'a>(
     Ok((core_key_share, bundle_key))
 }
 
-/// Seals a column's header table under its bundle key.
-fn seal_segment(key: &SymmetricKey, headers: &[Vec<u8>]) -> Vec<u8> {
-    let plain = encode_segment(headers);
-    record_sealed(plain.len());
-    emerge_crypto::aead::seal(key, &SEGMENT_NONCE, &plain, SEGMENT_AAD)
-}
-
 /// Opens a sealed column segment into its header table.
 ///
 /// # Errors
@@ -988,150 +801,35 @@ pub fn open_segment(key: &SymmetricKey, sealed: &[u8]) -> Result<Vec<Vec<u8>>, C
     decode_segment(&plain)
 }
 
-/// Builds the share-scheme packages per Section III-D, in the flat
-/// format v2.
-///
-/// The secret travels in a core onion sealed with per-column core keys;
-/// routing metadata and the just-in-time key shares travel in the flat
-/// [`SharePackage`] segment table, one independently sealed segment per
-/// column, each segment holding that column's row-key-sealed headers.
-/// Both the core keys and the row keys of column `j ≥ 1` are
-/// `(m_j, n)`-shared and delivered one hop ahead of use.
-///
-/// Total AEAD seal volume is `Θ(l·n)` — each column's bytes are sealed
-/// exactly once — versus the nested v1 format's `O(l²·n)`
-/// (see `legacy::build_share_packages_v1`, the retained oracle).
-/// Decrypted header payloads, share values and the key schedule are
-/// bit-identical to v1's.
+/// [`build_share_packages_into`] into fresh buffers: the one-shot form
+/// for callers that build a single package set.
 ///
 /// # Errors
 ///
-/// Returns [`EmergeError::InvalidParameters`] for non-share `params` or
-/// `n` beyond GF(256) sharing, and propagates [`EmergeError::Crypto`]
-/// from the Shamir layer.
+/// Identical to [`build_share_packages_into`].
 pub fn build_share_packages(
     plan: &PathPlan,
     params: &SchemeParams,
     schedule: &KeySchedule,
     secret: &[u8],
 ) -> Result<SharePackages, EmergeError> {
-    let (_k, l, n, m) = match params {
-        SchemeParams::Share { k, l, n, m } => (*k, *l, *n, m),
-        _ => {
-            return Err(EmergeError::InvalidParameters(
-                "share packages require the share scheme".into(),
-            ))
-        }
-    };
-    if n > shamir::MAX_SHARES {
-        return Err(EmergeError::InvalidParameters(format!(
-            "wire-level GF(256) sharing supports at most {} rows, got {n} \
-             (the analysis/Monte-Carlo engines have no such limit)",
-            shamir::MAX_SHARES
-        )));
-    }
-    debug_assert_eq!(plan.rows, n);
-    debug_assert_eq!(plan.cols, l);
-
-    let mut rng = schedule.shamir_rng();
-
-    // Shares of every column's keys (columns 1..l): row_key_shares[col-1]
-    // holds, for each target row r', the n shares of K_{r',col}; and
-    // core_key_shares[col-1] the n shares of the core key of `col`.
-    let mut row_key_shares: Vec<Vec<Vec<KeyShare>>> = Vec::with_capacity(l - 1);
-    let mut core_key_shares: Vec<Vec<KeyShare>> = Vec::with_capacity(l - 1);
-    for col in 1..l {
-        let threshold = m[col - 1];
-        // One slab split per column: all `n` row keys at once. Identical
-        // shares and RNG stream to per-key splits (`split_many`'s pinned
-        // contract), but the GF(256) kernels run over kilobyte slabs
-        // instead of 32-byte keys.
-        let keys: Vec<SymmetricKey> = (0..n).map(|r| schedule.row_key(r, col)).collect();
-        let views: Vec<&[u8]> = keys.iter().map(|k| k.as_bytes().as_slice()).collect();
-        row_key_shares.push(shamir::split_many(&views, threshold, n, &mut rng)?);
-        let core = schedule.core_key(col);
-        core_key_shares.push(shamir::split(core.as_bytes(), threshold, n, &mut rng)?);
-    }
-
-    // Build the flat segment table, one independently sealed segment per
-    // column. Forward order (the nesting that forced innermost-first
-    // construction is gone); no serialized column is ever re-sealed.
-    //
-    // One scratch buffer serves every header payload serialization,
-    // pre-sized to the non-terminal payload length: n next-hop IDs, n
-    // 32-byte row-key shares, one core share, one bundle key. Payloads
-    // are written straight from the share matrix (no per-header
-    // `ShareLayerPayload` with its `n` cloned shares); the borrowed
-    // encoder is pinned byte-identical to the struct encoder by test.
-    let mut scratch = Writer::with_capacity(2 + n * ID_LEN + 2 + n * 37 + 38 + 33);
-    let mut segments = Vec::with_capacity(l);
-    for col in 0..l {
-        let last = col + 1 == l;
-        // Hoisted out of the row loop: one cache lookup per column
-        // instead of one per header, and one next-hop list per column
-        // instead of one per row.
-        let bundle_key = (!last).then(|| schedule.bundle_key(col));
-        let next_hops: Vec<NodeId> = if last {
-            Vec::new()
-        } else {
-            (0..n).map(|r| plan.targets[r * l + col + 1]).collect()
-        };
-        let mut headers = Vec::with_capacity(n);
-        if let Some(bk) = &bundle_key {
-            for (row, core_share) in core_key_shares[col].iter().enumerate() {
-                scratch.clear();
-                encode_payload_borrowed(
-                    &mut scratch,
-                    &next_hops,
-                    &row_key_shares[col],
-                    row,
-                    core_share,
-                    bk,
-                );
-                headers.push(seal_header(&schedule.row_key(row, col), scratch.as_slice()));
-            }
-        } else {
-            for row in 0..n {
-                scratch.clear();
-                encode_terminal_payload(&mut scratch);
-                headers.push(seal_header(&schedule.row_key(row, col), scratch.as_slice()));
-            }
-        }
-        if col == 0 {
-            // Column 0 travels unsealed: its row keys are delivered
-            // directly at `ts`.
-            segments.push(encode_segment(&headers));
-        } else {
-            // Sealed once, under the key the previous column's headers
-            // release one hop ahead.
-            segments.push(seal_segment(&schedule.bundle_key(col - 1), &headers));
-        }
-    }
-    let package = SharePackage { segments };
-
-    // Core onion: sealed with the per-column core keys; payloads empty.
-    let core_keys: Vec<SymmetricKey> = (0..l).map(|c| schedule.core_key(c)).collect();
-    let empty: Vec<Vec<u8>> = vec![Vec::new(); l];
-    let core_layers: Vec<(&SymmetricKey, &[u8])> = core_keys
-        .iter()
-        .zip(empty.iter())
-        .map(|(k, p)| (k, p.as_slice()))
-        .collect();
-    let core_onion = build_onion(&core_layers, secret);
-
-    Ok(SharePackages {
-        package: package.to_bytes(),
-        core_onion,
-        col0_row_keys: (0..n).map(|r| schedule.row_key(r, 0)).collect(),
-        col0_core_key: schedule.core_key(0),
-    })
+    let mut out = SharePackages::default();
+    build_share_packages_into(
+        plan,
+        params,
+        schedule,
+        secret,
+        &mut out,
+        &mut PackageScratch::new(),
+    )?;
+    Ok(out)
 }
 
 /// Writes the wire form of a non-terminal header payload straight from a
-/// share slab — the pooled twin of [`encode_payload_borrowed`]. Share
-/// `row` of every split carries index `row + 1`, so the encoded bytes
-/// are identical to the `Vec<KeyShare>` path (pinned by the pooled
-/// builder equivalence test).
+/// share slab, without a per-header [`ShareLayerPayload`] holding `n`
+/// cloned shares. Share `row` of every split carries index `row + 1`, so
+/// the bytes equal [`ShareLayerPayload::to_bytes`] of that row's payload
+/// (the v1 oracle tests compare the decrypted payloads).
 fn encode_payload_slab(
     w: &mut Writer,
     next_hops: &[NodeId],
@@ -1191,15 +889,29 @@ impl PackageScratch {
     }
 }
 
-/// [`build_share_packages`] into caller-owned output and scratch
-/// buffers: byte-identical packages (same key schedule, same Shamir RNG
-/// stream, same seals — pinned by test), but a warm call allocates
-/// nothing. This is the Monte-Carlo trial loop's builder; the allocating
-/// form remains the public one-shot API and the equivalence oracle.
+/// Builds the share-scheme packages per Section III-D, in the flat
+/// format v2, into caller-owned output and scratch buffers (a warm call
+/// allocates nothing).
+///
+/// The secret travels in a core onion sealed with per-column core keys;
+/// routing metadata and the just-in-time key shares travel in the flat
+/// [`SharePackage`] segment table, one independently sealed segment per
+/// column, each segment holding that column's row-key-sealed headers.
+/// Both the core keys and the row keys of column `j ≥ 1` are
+/// `(m_j, n)`-shared and delivered one hop ahead of use.
+///
+/// Total AEAD seal volume is `Θ(l·n)` — each column's bytes are sealed
+/// exactly once — versus the nested v1 format's `O(l²·n)`
+/// (see `legacy::build_share_packages_v1`, the retained oracle).
+/// Decrypted header payloads, share values and the key schedule are
+/// bit-identical to v1's.
 ///
 /// # Errors
 ///
-/// Identical to [`build_share_packages`].
+/// Returns [`EmergeError::InvalidParameters`] for invalid or non-share
+/// `params`, `n` beyond GF(256) sharing, or a `plan` whose shape is not
+/// the `n × l` grid of `params`; propagates [`EmergeError::Crypto`] from
+/// the Shamir layer.
 pub fn build_share_packages_into(
     plan: &PathPlan,
     params: &SchemeParams,
@@ -1224,8 +936,8 @@ pub fn build_share_packages_into(
             shamir::MAX_SHARES
         )));
     }
-    debug_assert_eq!(plan.rows, n);
-    debug_assert_eq!(plan.cols, l);
+    params.validate()?;
+    plan.check_grid(n, l)?;
 
     let mut rng = schedule.shamir_rng();
 
@@ -1249,9 +961,10 @@ pub fn build_share_packages_into(
     }
 
     // Assemble the package wire form directly: version byte, u16 segment
-    // count, then each column segment length-prefixed — identical to
-    // `SharePackage::to_bytes` over per-column `encode_segment` /
-    // `seal_segment` results.
+    // count, then each column segment length-prefixed — the
+    // `SharePackage::to_bytes` layout. Segment 0 is column 0's plaintext
+    // header table; segment `j` is column `j`'s table sealed under
+    // `C_{j-1}`.
     out.package.clear();
     out.package.push(SHARE_FORMAT_VERSION);
     // LINT-WAIVER(wire): l was validated against MAX_SHARES = 255, far below u16::MAX
@@ -1930,10 +1643,10 @@ mod tests {
     }
 
     #[test]
-    fn pooled_builder_matches_allocating_builder_across_reuse() {
+    fn reused_builder_buffers_match_a_fresh_build() {
         // One scratch and output set serves builds of different shapes
-        // and seeds; every build must be byte-identical to a fresh
-        // allocating build (packages, onion, delivered col-0 keys) and
+        // and seeds; every build must be byte-identical to a build into
+        // fresh buffers (packages, onion, delivered col-0 keys) and
         // report the same sealed-byte volume.
         let ov = overlay(120);
         let shapes = [
@@ -2054,6 +1767,7 @@ mod tests {
     #[test]
     fn executor_parse_is_a_projection_of_the_full_parse() {
         let key = SymmetricKey::from_bytes([0x66; 32]);
+        let mut plain = Vec::new();
         for payload in [
             ShareLayerPayload {
                 next_hops: vec![NodeId::from_name(b"a"), NodeId::from_name(b"b")],
@@ -2068,22 +1782,32 @@ mod tests {
                 bundle_key: None,
             },
         ] {
-            let sealed = seal_header(&key, &payload.to_bytes());
+            let sealed =
+                emerge_crypto::aead::seal(&key, &HEADER_NONCE, &payload.to_bytes(), HEADER_AAD);
             let full = open_header(&key, &sealed).unwrap();
-            let lean = open_header_for_executor(&key, &sealed).unwrap();
-            assert_eq!(lean.row_key_shares, full.row_key_shares);
-            assert_eq!(lean.core_key_share, full.core_key_share);
-            assert_eq!(lean.bundle_key, full.bundle_key);
+            open_header_into(&key, &sealed, &mut plain).unwrap();
+            let mut shares = Vec::new();
+            let (core, bundle_key) = visit_executor_payload(&plain, |target, index, data| {
+                assert_eq!(target, shares.len(), "shares arrive in target-row order");
+                shares.push(KeyShare::new(index, data.to_vec()));
+            })
+            .unwrap();
+            assert_eq!(shares, full.row_key_shares);
+            assert_eq!(
+                core.map(|(index, data)| KeyShare::new(index, data.to_vec())),
+                full.core_key_share
+            );
+            assert_eq!(bundle_key, full.bundle_key);
         }
         // Same failure on a tampered header.
-        let mut sealed = seal_header(&key, b"xx");
+        let mut sealed = emerge_crypto::aead::seal(&key, &HEADER_NONCE, b"xx", HEADER_AAD);
         sealed[0] ^= 1;
-        assert!(open_header_for_executor(&key, &sealed).is_err());
+        assert!(open_header(&key, &sealed).is_err());
+        assert!(open_header_into(&key, &sealed, &mut plain).is_err());
     }
 
     #[test]
-    fn borrowed_encoders_match_the_struct_encoder() {
-        // Terminal payload.
+    fn terminal_payload_encoder_matches_the_struct_encoder() {
         let empty = ShareLayerPayload {
             next_hops: Vec::new(),
             row_key_shares: Vec::new(),
@@ -2093,32 +1817,6 @@ mod tests {
         let mut w = Writer::new();
         encode_terminal_payload(&mut w);
         assert_eq!(w.as_slice(), empty.to_bytes());
-
-        // Non-terminal payload, straight from a share matrix.
-        let next_hops = vec![NodeId::from_name(b"h0"), NodeId::from_name(b"h1")];
-        let row_shares = vec![
-            vec![
-                KeyShare::new(1, vec![10; 32]),
-                KeyShare::new(2, vec![11; 32]),
-            ],
-            vec![
-                KeyShare::new(1, vec![20; 32]),
-                KeyShare::new(2, vec![21; 32]),
-            ],
-        ];
-        let core = KeyShare::new(2, vec![9; 32]);
-        let bk = SymmetricKey::from_bytes([5; 32]);
-        for row in 0..2 {
-            let payload = ShareLayerPayload {
-                next_hops: next_hops.clone(),
-                row_key_shares: row_shares.iter().map(|t| t[row].clone()).collect(),
-                core_key_share: Some(core.clone()),
-                bundle_key: Some(bk.clone()),
-            };
-            let mut w = Writer::new();
-            encode_payload_borrowed(&mut w, &next_hops, &row_shares, row, &core, &bk);
-            assert_eq!(w.as_slice(), payload.to_bytes(), "row {row}");
-        }
     }
 
     /// Builds a share plan+schedule for an `n × l` grid on a fixed world.
@@ -2268,8 +1966,11 @@ mod tests {
             #[test]
             fn corrupted_segments_fail_authentication(pos_seed: usize, xor in 1u8..=255) {
                 let key = SymmetricKey::from_bytes([0x77; 32]);
-                let headers = vec![vec![5u8; 40], vec![6u8; 40]];
-                let mut sealed = seal_segment(&key, &headers);
+                let mut table = Writer::new();
+                table.put_table(&[vec![5u8; 40], vec![6u8; 40]]);
+                let mut sealed = emerge_crypto::aead::seal(
+                    &key, &SEGMENT_NONCE, table.as_slice(), SEGMENT_AAD,
+                );
                 let pos = pos_seed % sealed.len();
                 sealed[pos] ^= xor;
                 prop_assert!(open_segment(&key, &sealed).is_err());

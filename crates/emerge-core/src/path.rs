@@ -14,7 +14,6 @@ use crate::substrate::HolderSubstrate;
 use emerge_crypto::hkdf::Hkdf;
 use emerge_crypto::keys::SymmetricKey;
 use emerge_dht::id::NodeId;
-use std::collections::HashSet;
 
 /// A fully resolved holder grid.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -48,6 +47,21 @@ impl PathPlan {
     /// All slots of one column.
     pub fn column(&self, col: usize) -> Vec<usize> {
         (0..self.rows).map(|r| self.slot(r, col)).collect()
+    }
+
+    /// Checks that the plan is a complete `rows × cols` grid, so callers
+    /// index its slots and targets without panicking.
+    pub(crate) fn check_grid(&self, rows: usize, cols: usize) -> Result<(), EmergeError> {
+        if self.rows != rows
+            || self.cols != cols
+            || self.slots.len() != rows * cols
+            || self.targets.len() != rows * cols
+        {
+            return Err(EmergeError::InvalidParameters(
+                "path plan is not the grid of the scheme parameters".into(),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -100,83 +114,32 @@ fn push_decimal(buf: &mut [u8; 80], at: usize, mut v: u64) -> usize {
     at + digits
 }
 
-/// Constructs the holder grid for `params` on any [`HolderSubstrate`],
-/// deterministically from the sender's `seed`.
+/// [`construct_paths_into`] into a fresh plan.
 ///
 /// # Errors
 ///
-/// Returns [`EmergeError::InsufficientNodes`] when the structure needs more
-/// distinct holders than the substrate has nodes.
+/// Identical to [`construct_paths_into`].
 pub fn construct_paths<S: HolderSubstrate + ?Sized>(
     substrate: &S,
     params: &SchemeParams,
     seed: &SymmetricKey,
 ) -> Result<PathPlan, EmergeError> {
-    params
-        .validate()
-        .map_err(|e| EmergeError::InvalidParameters(e.to_string()))?;
-    let (rows, cols) = match params {
-        SchemeParams::Central => (1, 1),
-        SchemeParams::Disjoint { k, l } | SchemeParams::Joint { k, l } => (*k, *l),
-        SchemeParams::Share { l, n, .. } => (*n, *l),
-    };
-    let needed = rows * cols;
-    if needed > substrate.n_nodes() {
-        return Err(EmergeError::InsufficientNodes {
-            required: needed,
-            available: substrate.n_nodes(),
-        });
-    }
-
-    let hk = Hkdf::from_prk(*seed.as_bytes());
-    let mut used: HashSet<usize> = HashSet::with_capacity(needed);
-    let mut slots = Vec::with_capacity(needed);
-    let mut targets = Vec::with_capacity(needed);
-    for row in 0..rows {
-        for col in 0..cols {
-            let mut attempt = 0u32;
-            let (slot, target) = loop {
-                let target = holder_address_with(&hk, row, col, attempt);
-                let slot = substrate.resolve_holder(&target);
-                if !used.contains(&slot) {
-                    break (slot, target);
-                }
-                attempt += 1;
-                // With needed <= n distinct slots always exist; the loop
-                // terminates with overwhelming probability long before
-                // this, but guard against pathological ID distributions.
-                if attempt > 10_000 {
-                    return Err(EmergeError::InvalidParameters(
-                        "holder selection failed to find distinct nodes".into(),
-                    ));
-                }
-            };
-            used.insert(slot);
-            slots.push(slot);
-            targets.push(target);
-        }
-    }
-
-    Ok(PathPlan {
-        rows,
-        cols,
-        slots,
-        targets,
-    })
+    let mut plan = PathPlan::default();
+    construct_paths_into(substrate, params, seed, &mut plan)?;
+    Ok(plan)
 }
 
-/// Constructs the same holder grid as [`construct_paths`] into a
-/// reusable plan: `plan`'s vectors are cleared and refilled, so a warm
-/// caller allocates nothing. The distinctness set is replaced by a
-/// linear scan of the slots gathered so far — quadratic in grid size,
-/// but grids are small (hundreds) and the scan is branch-cheap, while
-/// the oracle's `HashSet` costs an allocation per trial.
-///
-/// Pinned equal to [`construct_paths`] by test.
+/// Constructs the holder grid for `params` on any [`HolderSubstrate`],
+/// deterministically from the sender's `seed`, into a reusable plan:
+/// `plan`'s vectors are cleared and refilled, so a warm caller allocates
+/// nothing. Distinctness is a linear scan of the slots gathered so far —
+/// quadratic in grid size, but grids are a few hundred holders at most
+/// and the scan is branch-cheap.
 ///
 /// # Errors
 ///
-/// Identical to [`construct_paths`].
+/// Returns [`EmergeError::InsufficientNodes`] when the structure needs more
+/// distinct holders than the substrate has nodes.
 pub fn construct_paths_into<S: HolderSubstrate + ?Sized>(
     substrate: &S,
     params: &SchemeParams,
@@ -203,7 +166,9 @@ pub fn construct_paths_into<S: HolderSubstrate + ?Sized>(
     plan.rows = rows;
     plan.cols = cols;
     plan.slots.clear();
+    plan.slots.reserve(needed);
     plan.targets.clear();
+    plan.targets.reserve(needed);
 
     let hk = Hkdf::from_prk(*seed.as_bytes());
     for row in 0..rows {
@@ -216,6 +181,9 @@ pub fn construct_paths_into<S: HolderSubstrate + ?Sized>(
                     break (slot, target);
                 }
                 attempt += 1;
+                // With needed <= n distinct slots always exist; the loop
+                // terminates with overwhelming probability long before
+                // this, but guard against pathological ID distributions.
                 if attempt > 10_000 {
                     return Err(EmergeError::InvalidParameters(
                         "holder selection failed to find distinct nodes".into(),
@@ -233,6 +201,7 @@ pub fn construct_paths_into<S: HolderSubstrate + ?Sized>(
 mod tests {
     use super::*;
     use crate::substrate::{Overlay, OverlayConfig};
+    use std::collections::HashSet;
 
     fn overlay(n: usize) -> Overlay {
         Overlay::build(
@@ -289,7 +258,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_path_construction_matches_allocating_form() {
+    fn reused_plan_matches_a_fresh_plan() {
         let ov = overlay(150);
         let mut plan = PathPlan::default();
         // Reuse one plan across shapes (shrinking and growing) so stale
@@ -308,9 +277,9 @@ mod tests {
             (SchemeParams::Joint { k: 4, l: 6 }, 13),
             (SchemeParams::Disjoint { k: 2, l: 3 }, 14),
         ] {
-            let oracle = construct_paths(&ov, &params, &seed(s)).unwrap();
+            let fresh = construct_paths(&ov, &params, &seed(s)).unwrap();
             construct_paths_into(&ov, &params, &seed(s), &mut plan).unwrap();
-            assert_eq!(plan, oracle);
+            assert_eq!(plan, fresh);
         }
     }
 

@@ -15,19 +15,18 @@
 use crate::config::SchemeParams;
 use crate::error::EmergeError;
 use crate::package::{
-    decode_segment_headers, decode_segment_headers_into, open_header_for_executor,
-    open_header_into, open_segment_headers, open_segment_headers_into, parse_share_segment_spans,
-    visit_executor_payload, KeyedPackages, SegmentHeaders, SharePackage, SharePackages,
+    decode_segment_headers_into, open_header_into, open_segment_headers_into,
+    parse_share_segment_spans, visit_executor_payload, KeyedPackages, SegmentHeaders,
+    SharePackages,
 };
 use crate::path::PathPlan;
 use crate::substrate::HolderSubstrate;
-use emerge_crypto::keys::{KeyShare, SymmetricKey};
+use emerge_crypto::keys::SymmetricKey;
 use emerge_crypto::onion::{peel, peel_core, peel_in_place, LayerKind, Peeled};
 use emerge_crypto::shamir;
 use emerge_crypto::CryptoError;
 use emerge_sim::engine::Engine;
 use emerge_sim::time::{SimDuration, SimTime};
-use std::rc::Rc;
 
 /// Adversarial posture of the malicious nodes during a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -288,11 +287,17 @@ pub fn execute_keyed<S: HolderSubstrate + ?Sized>(
     })
 }
 
-/// Executes a key-share routing run.
+/// Executes a key-share routing run: [`execute_share_pooled`] into
+/// fresh buffers, returning an owned [`RunReport`].
+///
+/// Like the pooled executor, it accepts only the 32-byte key shares that
+/// [`crate::package::build_share_packages`] emits; a package carrying
+/// shares of any other length is rejected with
+/// [`EmergeError::InvalidParameters`].
 ///
 /// # Errors
 ///
-/// Returns [`EmergeError::InvalidParameters`] for mismatched parameters.
+/// Identical to [`execute_share_pooled`].
 pub fn execute_share<S: HolderSubstrate + ?Sized>(
     substrate: &mut S,
     plan: &PathPlan,
@@ -300,325 +305,17 @@ pub fn execute_share<S: HolderSubstrate + ?Sized>(
     packages: &SharePackages,
     config: &RunConfig,
 ) -> Result<RunReport, EmergeError> {
-    let (k, l, n, m) = match params {
-        SchemeParams::Share { k, l, n, m } => (*k, *l, *n, m.clone()),
-        _ => {
-            return Err(EmergeError::InvalidParameters(
-                "execute_share requires share parameters".into(),
-            ))
-        }
-    };
-    let th = config.emerging_period / l as u64;
-    let ts = config.ts;
-    let tr = ts + config.emerging_period;
-
-    // Parse the flat package once. The sealed segment table is immutable
-    // and shared by every holder; what travels hop to hop is the opened
-    // header table of the current column (plus, conceptually, the
-    // still-sealed tail of the table — identical bytes from every
-    // forwarder, so holding one `Rc` to the whole table models it
-    // exactly).
-    let package = SharePackage::from_bytes(&packages.package)?;
-    if package.segments.len() != l {
-        return Err(EmergeError::InvalidParameters(format!(
-            "share package has {} segments for an l = {l} run",
-            package.segments.len()
-        )));
-    }
-    let mut segments = package.segments;
-    let headers0: Rc<SegmentHeaders> =
-        Rc::new(decode_segment_headers(std::mem::take(&mut segments[0]))?);
-
-    /// In-flight state of one holder position.
-    #[derive(Default, Clone)]
-    struct Inbox {
-        /// This column's opened header table (same blob from every
-        /// forwarder; one kept). `Rc`-shared: every holder of a column
-        /// carries identical bytes, so pointer identity lets the
-        /// per-column hot loop open the next sealed segment once instead
-        /// of once per row. `None` means no honest upstream forwarder
-        /// delivered the package tail.
-        headers: Option<Rc<SegmentHeaders>>,
-        core_onion: Option<Vec<u8>>,
-        key_shares: Vec<KeyShare>,
-        core_shares: Vec<KeyShare>,
-        direct_row_key: Option<SymmetricKey>,
-        direct_core_key: Option<SymmetricKey>,
-    }
-
-    let mut inboxes: Vec<Inbox> = vec![Inbox::default(); n * l];
-    for row in 0..n {
-        let inbox = &mut inboxes[row * l];
-        inbox.headers = Some(headers0.clone());
-        inbox.direct_row_key = Some(packages.col0_row_keys[row].clone());
-        if row < k {
-            inbox.core_onion = Some(packages.core_onion.clone());
-            inbox.direct_core_key = Some(packages.col0_core_key.clone());
-        }
-    }
-
-    let mut messages = n as u64;
-    let mut released: Option<(SimTime, Vec<u8>)> = None;
-    let mut failure: Option<String> = None;
-    let mut terminal_secrets: Vec<Vec<u8>> = Vec::new();
-
-    // Adversary ledger: per column, the count of malicious receivers and
-    // the share material they leaked; plus leaked onion/core copies.
-    let mut adv_key_shares: Vec<Vec<KeyShare>> = vec![Vec::new(); l]; // for col c key (row 0's key as witness)
-    let mut adv_core_shares: Vec<Vec<KeyShare>> = vec![Vec::new(); l];
-    let mut adv_core_onion_col0: Option<Vec<u8>> = None;
-    let mut adv_direct_core_key: Option<SymmetricKey> = None;
-
-    let mut engine: Engine<Ev> = Engine::new();
-    engine.schedule_at(ts, Ev::Arrive { col: 0 });
-
-    // Lagrange-weight memo shared by every reconstruction of the run:
-    // within a column all holders combine shares from the same surviving
-    // rows, so the O(m²) basis computation runs ~once per column.
-    let mut weight_cache = shamir::WeightCache::default();
-
-    while let Some((now, ev)) = engine.pop() {
-        match ev {
-            Ev::Arrive { col } => {
-                let depart = now + th;
-                // Plan of what each next-column holder will receive.
-                let mut next: Vec<Inbox> = vec![Inbox::default(); n];
-                // Per-column memo: the transit redundancy hands every
-                // holder the same opened header table, so the AEAD open of
-                // the next sealed segment is computed once and reused by
-                // pointer identity (a divergent table or key still
-                // recomputes). With the flat format this is a single
-                // `O(n·header)` segment open — no parse or re-wrap of
-                // deeper columns ever happens.
-                let mut unwrap_memo: Option<(
-                    Rc<SegmentHeaders>,
-                    SymmetricKey,
-                    Rc<SegmentHeaders>,
-                )> = None;
-                for row in 0..n {
-                    let inbox = std::mem::take(&mut inboxes[row * l + col]);
-                    let slot = plan.slot(row, col);
-                    let tenant = *substrate.generation_at(slot, now);
-
-                    // Reconstruct this holder's row key.
-                    let row_key = if col == 0 {
-                        inbox.direct_row_key.clone()
-                    } else if inbox.key_shares.len() >= m[col - 1] {
-                        combine_key_cached(&inbox.key_shares, m[col - 1], &mut weight_cache)?
-                    } else {
-                        None
-                    };
-                    let Some(row_key) = row_key else {
-                        continue; // starved: cannot act this hop
-                    };
-                    let Some(headers) = inbox.headers.clone() else {
-                        continue; // no honest forwarder upstream delivered
-                    };
-                    let Some(header) = headers.get(row) else {
-                        return Err(EmergeError::InvalidParameters(
-                            "segment is missing this row's header".into(),
-                        ));
-                    };
-
-                    // Malicious receiver leaks its direct material.
-                    if config.attack == AttackMode::ReleaseAhead && tenant.malicious && col == 0 {
-                        if let Some(core) = &inbox.core_onion {
-                            adv_core_onion_col0 = Some(core.clone());
-                        }
-                        if inbox.direct_core_key.is_some() {
-                            adv_direct_core_key = inbox.direct_core_key.clone();
-                        }
-                    }
-
-                    // Drop attack: malicious tenants withhold everything.
-                    if config.attack == AttackMode::Drop && tenant.malicious {
-                        continue;
-                    }
-                    // Churn: a tenant dying mid-hold takes its *shares*
-                    // with it (key material is never re-homed), but the
-                    // opaque package/onion blobs are re-homed to the slot
-                    // replacement by DHT replication and still move.
-                    let survivor = substrate.generation_at(slot, depart).spawn == tenant.spawn;
-
-                    // Open this row's header (executor-path parse: the
-                    // next-hop list is validated but not materialized —
-                    // forwarding goes by grid position).
-                    let mut payload = open_header_for_executor(&row_key, header)?;
-
-                    // Adversary copies the payload's onward shares.
-                    if config.attack == AttackMode::ReleaseAhead && tenant.malicious && col + 1 < l
-                    {
-                        // Witness: row 0's next-column key-shares; the core
-                        // shares matter for the actual reconstruction.
-                        if let Some(s) = payload.row_key_shares.first() {
-                            adv_key_shares[col + 1].push(s.clone());
-                        }
-                        if let Some(s) = &payload.core_key_share {
-                            adv_core_shares[col + 1].push(s.clone());
-                        }
-                    }
-
-                    // Open the next column's segment for relay (once per
-                    // distinct header table and key; every row after the
-                    // first is a memo hit).
-                    let next_headers: Option<Rc<SegmentHeaders>> = match &payload.bundle_key {
-                        Some(bk) if col + 1 < l => Some(match &unwrap_memo {
-                            Some((table, key, opened))
-                                if Rc::ptr_eq(table, &headers) && key == bk =>
-                            {
-                                opened.clone()
-                            }
-                            _ => {
-                                let opened = Rc::new(open_segment_headers(bk, &segments[col + 1])?);
-                                unwrap_memo = Some((headers.clone(), bk.clone(), opened.clone()));
-                                opened
-                            }
-                        }),
-                        _ => None,
-                    };
-
-                    // Onion rows also process the core onion.
-                    let mut inner_core: Option<Vec<u8>> = None;
-                    let mut core_secret: Option<Vec<u8>> = None;
-                    if row < k {
-                        let core_key = if col == 0 {
-                            inbox.direct_core_key.clone()
-                        } else if inbox.core_shares.len() >= m[col - 1] {
-                            combine_key_cached(&inbox.core_shares, m[col - 1], &mut weight_cache)?
-                        } else {
-                            None
-                        };
-                        if let (Some(core_key), Some(core_onion)) =
-                            (core_key, inbox.core_onion.clone())
-                        {
-                            match peel(&core_key, &core_onion)? {
-                                Peeled::Intermediate { inner, .. } => {
-                                    inner_core = Some(inner);
-                                }
-                                Peeled::Core { payload } => {
-                                    core_secret = Some(payload);
-                                }
-                            }
-                        }
-                    }
-
-                    if col + 1 == l {
-                        if let Some(secret) = core_secret {
-                            terminal_secrets.push(secret);
-                        }
-                        continue;
-                    }
-
-                    // Forward. Shares travel only if the tenant survived
-                    // the hold; package/onion blobs always move (re-homed
-                    // on death). The payload is this holder's own copy,
-                    // so its shares move into the next inboxes instead of
-                    // being cloned (the dominant allocation of the loop).
-                    if survivor {
-                        for (target_row, s) in payload.row_key_shares.drain(..).enumerate() {
-                            if let Some(next_inbox) = next.get_mut(target_row) {
-                                next_inbox.key_shares.push(s);
-                                messages += 1;
-                            }
-                        }
-                        if let Some(s) = &payload.core_key_share {
-                            for next_inbox in next.iter_mut().take(k) {
-                                next_inbox.core_shares.push(s.clone());
-                            }
-                        }
-                    }
-                    if let Some(nh) = next_headers {
-                        for next_inbox in &mut next {
-                            if next_inbox.headers.is_none() {
-                                next_inbox.headers = Some(nh.clone());
-                                messages += 1;
-                            }
-                        }
-                    }
-                    if row < k {
-                        if let Some(inner) = inner_core {
-                            for next_inbox in next.iter_mut().take(k) {
-                                if next_inbox.core_onion.is_none() {
-                                    next_inbox.core_onion = Some(inner.clone());
-                                    messages += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-
-                if col + 1 < l {
-                    for (row, nb) in next.into_iter().enumerate() {
-                        inboxes[row * l + col + 1] = nb;
-                    }
-                    engine.schedule_at(depart, Ev::Arrive { col: col + 1 });
-                } else {
-                    engine.schedule_at(tr, Ev::Release);
-                }
-            }
-            Ev::Release => {
-                if let Some(secret) = terminal_secrets.first() {
-                    released = Some((now, secret.clone()));
-                    messages += terminal_secrets.len() as u64;
-                } else {
-                    failure = Some("no terminal onion row reconstructed the secret".into());
-                }
-            }
-        }
-    }
-    if released.is_none() && failure.is_none() {
-        failure = Some("share flow starved before the terminal column".into());
-    }
-
-    // Adversary reconstruction (strict quorum chain, real crypto): needs
-    // the core onion from column 0 plus enough core-key shares at every
-    // later column boundary.
-    let mut adversary_reconstruction: Option<(SimTime, Vec<u8>)> = None;
-    if config.attack == AttackMode::ReleaseAhead {
-        if let (Some(core_onion), Some(core_key0)) = (adv_core_onion_col0, adv_direct_core_key) {
-            let mut onion = core_onion;
-            let mut ok = true;
-            let mut when = ts;
-            for col in 0..l {
-                let key = if col == 0 {
-                    Some(core_key0.clone())
-                } else if adv_core_shares[col].len() >= m[col - 1] {
-                    when = when.max(ts + (config.emerging_period / l as u64) * (col as u64 - 1));
-                    combine_key(&adv_core_shares[col], m[col - 1])?
-                } else {
-                    None
-                };
-                let Some(key) = key else {
-                    ok = false;
-                    break;
-                };
-                if col + 1 == l {
-                    let (_, secret) = peel_core(&key, &onion)?;
-                    if when < tr {
-                        adversary_reconstruction = Some((when, secret));
-                    }
-                } else {
-                    match peel(&key, &onion)? {
-                        Peeled::Intermediate { inner, .. } => onion = inner,
-                        Peeled::Core { payload } => {
-                            if when < tr {
-                                adversary_reconstruction = Some((when, payload));
-                            }
-                            break;
-                        }
-                    }
-                }
-            }
-            let _ = ok;
-        }
-    }
-
-    Ok(RunReport {
-        released,
-        failure,
-        adversary_reconstruction,
-        messages_sent: messages,
-    })
+    let mut report = PooledRunReport::default();
+    execute_share_pooled(
+        substrate,
+        plan,
+        params,
+        packages,
+        config,
+        &mut ShareExecScratch::default(),
+        &mut report,
+    )?;
+    Ok(report.to_report())
 }
 
 /// Executes the centralized scheme: one holder stores the secret for the
@@ -659,36 +356,6 @@ pub fn execute_central<S: HolderSubstrate + ?Sized>(
     Ok(report)
 }
 
-/// Combines key shares into a 32-byte symmetric key.
-///
-/// Convenience form of [`combine_key_cached`] for one-off call sites.
-fn combine_key(shares: &[KeyShare], m: usize) -> Result<Option<SymmetricKey>, EmergeError> {
-    combine_key_cached(shares, m, &mut shamir::WeightCache::default())
-}
-
-/// Combines key shares into a 32-byte symmetric key, memoizing the
-/// Lagrange weights across calls with the same share-index set — the
-/// common case in the executor's per-column reconstruction loop, where
-/// every holder's shares come from the same surviving rows.
-fn combine_key_cached(
-    shares: &[KeyShare],
-    m: usize,
-    cache: &mut shamir::WeightCache,
-) -> Result<Option<SymmetricKey>, EmergeError> {
-    match shamir::combine_cached(shares, m, cache) {
-        Ok(bytes) if bytes.len() == 32 => {
-            let mut kb = [0u8; 32];
-            kb.copy_from_slice(&bytes);
-            Ok(Some(SymmetricKey::from_bytes(kb)))
-        }
-        Ok(_) => Err(EmergeError::InvalidParameters(
-            "reconstructed key has wrong length".into(),
-        )),
-        Err(emerge_crypto::CryptoError::NotEnoughShares { .. }) => Ok(None),
-        Err(e) => Err(EmergeError::Crypto(e)),
-    }
-}
-
 /// The outcome of one pooled protocol run: the same facts as
 /// [`RunReport`], held in reusable buffers instead of per-run
 /// allocations. The secret buffers are only meaningful when the matching
@@ -710,14 +377,7 @@ pub struct PooledRunReport {
 }
 
 impl PooledRunReport {
-    /// Whether the key emerged exactly as intended (see
-    /// [`RunReport::clean_emergence`]).
-    pub fn clean_emergence(&self, tr: SimTime) -> bool {
-        self.released_at == Some(tr) && self.adversary_at.is_none()
-    }
-
-    /// Copies out an allocating [`RunReport`] — for oracle comparisons
-    /// and cold callers.
+    /// Copies out an owned [`RunReport`], for one-shot callers.
     pub fn to_report(&self) -> RunReport {
         RunReport {
             released: self
@@ -733,8 +393,7 @@ impl PooledRunReport {
 }
 
 /// Fixed-stride slab of 32-byte key shares: `buckets` rows, each holding
-/// up to `stride` `(index, share)` pairs in arrival order. Replaces the
-/// per-inbox `Vec<KeyShare>` of the allocating executor; reset is an
+/// up to `stride` `(index, share)` pairs in arrival order. Reset is an
 /// `O(buckets)` count clear, never a free.
 #[derive(Debug, Default)]
 struct ShareBank {
@@ -816,9 +475,8 @@ pub struct ShareExecScratch {
     weight_cache: shamir::WeightCache,
 }
 
-/// Combines a `ShareBank` bucket into a 32-byte symmetric key —
-/// [`combine_key_cached`] over slab storage, with identical outcome
-/// mapping.
+/// Combines a `ShareBank` bucket into a 32-byte symmetric key: `None`
+/// when the bucket holds fewer than `m` distinct shares.
 fn combine_key_slab(
     indices: &[u8],
     data: &[u8],
@@ -837,37 +495,35 @@ fn combine_key_slab(
     }
 }
 
-/// Executes a key-share routing run into reusable buffers.
+/// Executes a key-share routing run into reusable buffers; after a
+/// per-shape warm-up run it touches none of the allocator.
 ///
-/// Semantically identical to [`execute_share`] (the retained oracle):
-/// same substrate query sequence, message accounting, adversary ledger,
-/// failure strings and secrets — pinned equal by test across substrates,
-/// attack modes and churn. The differences are purely representational:
+/// Holders at column `c` act at `ts + c·th` and hand on at
+/// `ts + (c+1)·th`. Each holder reconstructs its row key from the shares
+/// the previous column delivered (column 0 gets its keys directly at
+/// `ts`), opens its header, and forwards its shares to the next column
+/// if its tenant survived the hold. The sealed segment table and the
+/// core onion are re-homed by replication, so any one acting holder
+/// relays them. Rows `0..k` also peel the core onion; the secret is
+/// released at `tr` if a terminal onion row reconstructed it. Under
+/// [`AttackMode::ReleaseAhead`] malicious tenants copy the column-0 core
+/// onion and key and every onward core-key share, and the adversary then
+/// runs the strict quorum chain with real cryptography; under
+/// [`AttackMode::Drop`] malicious tenants withhold everything.
 ///
-/// - the package is parsed as spans over `packages.package` instead of
-///   per-segment copies;
-/// - in-flight shares live in fixed-stride `ShareBank` slabs instead
-///   of per-inbox `Vec<KeyShare>`s;
-/// - per-column state (header table, core onion) is held once per
-///   column — the allocating executor's per-row `Rc`s and option flags
-///   always carry column-uniform values, a consequence of the uniform
-///   forwarding loops — and the redundant per-row core-onion peels
-///   (identical inputs, identical outputs) collapse to one peel per
-///   column;
-/// - the trivially sequential event schedule (arrive columns `0..l`,
-///   then release at `tr`) is a plain loop instead of an [`Engine`].
-///
-/// One scope restriction: this path requires the 32-byte shares that
-/// [`crate::package::build_share_packages`] emits and rejects others
-/// with [`EmergeError::InvalidParameters`]; foreign packages with
-/// exotic share lengths must go through [`execute_share`]. (The unused
-/// witness ledger of row-0 key shares kept by the oracle is dropped —
-/// it is never read.)
+/// The state of a column (header table, core onion) is held once per
+/// column, and in-flight shares live in fixed-stride slabs. The v1
+/// oracle in this module's tests (the per-holder-inbox executor over the
+/// nested format) must produce the same [`RunReport`] across substrates,
+/// attack modes and churn.
 ///
 /// # Errors
 ///
-/// Returns [`EmergeError::InvalidParameters`] for mismatched parameters
-/// and propagates crypto failures exactly as [`execute_share`] does.
+/// Returns [`EmergeError::InvalidParameters`] for invalid or non-share
+/// `params`, a `plan` or `packages` whose shape is not the `n × l` grid
+/// of `params`, a package whose segment count is not `l` or a share of
+/// another length than 32 bytes; propagates crypto failures of tampered
+/// packages.
 pub fn execute_share_pooled<S: HolderSubstrate + ?Sized>(
     substrate: &mut S,
     plan: &PathPlan,
@@ -885,6 +541,13 @@ pub fn execute_share_pooled<S: HolderSubstrate + ?Sized>(
             ))
         }
     };
+    params.validate()?;
+    plan.check_grid(n, l)?;
+    if packages.col0_row_keys.len() != n {
+        return Err(EmergeError::InvalidParameters(
+            "share packages do not carry one column-0 row key per row".into(),
+        ));
+    }
     let th = config.emerging_period / l as u64;
     let ts = config.ts;
     let tr = ts + config.emerging_period;
@@ -936,9 +599,9 @@ pub fn execute_share_pooled<S: HolderSubstrate + ?Sized>(
         }
         let mut next_has_headers = false;
         let mut next_has_core_onion = false;
-        // Per-column memo of the opened next segment (the oracle's
-        // `unwrap_memo`: table identity is constant within a column, so
-        // the memo key reduces to the bundle key).
+        // Per-column memo of the opened next segment, keyed by the bundle
+        // key that opened it: every acting row of a column normally holds
+        // the same key, so the segment is opened once.
         let mut opened_next_key: Option<SymmetricKey> = None;
         // Per-column memo of the core-onion peel: every acting onion row
         // reconstructs the same core key and holds the same onion bytes,
@@ -973,11 +636,11 @@ pub fn execute_share_pooled<S: HolderSubstrate + ?Sized>(
             if !cur_has_headers {
                 continue; // no honest forwarder upstream delivered
             }
-            if scratch.cur_headers.get(row).is_none() {
+            let Some(header) = scratch.cur_headers.get(row) else {
                 return Err(EmergeError::InvalidParameters(
                     "segment is missing this row's header".into(),
                 ));
-            }
+            };
 
             // Malicious receiver leaks its direct material.
             if config.attack == AttackMode::ReleaseAhead && tenant.malicious && col == 0 && row < k
@@ -999,8 +662,6 @@ pub fn execute_share_pooled<S: HolderSubstrate + ?Sized>(
 
             // Open this row's header and fan its shares straight into
             // the next column's slab.
-            // LINT-WAIVER(panic): rows were bounds-checked against cur_headers at the top of the loop
-            let header = scratch.cur_headers.get(row).expect("checked above");
             open_header_into(&row_key, header, &mut scratch.plain).map_err(EmergeError::Crypto)?;
             let mut bad_share = false;
             let next_key = &mut scratch.next_key;
@@ -1016,7 +677,7 @@ pub fn execute_share_pooled<S: HolderSubstrate + ?Sized>(
                 .map_err(EmergeError::Crypto)?;
             if bad_share || core_share.is_some_and(|(_, s)| s.len() != 32) {
                 return Err(EmergeError::InvalidParameters(
-                    "pooled executor requires 32-byte key shares".into(),
+                    "the share executor requires 32-byte key shares".into(),
                 ));
             }
             if survivor && forwarding {
@@ -1194,9 +855,14 @@ pub fn execute_share_pooled<S: HolderSubstrate + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::package::legacy::{
+        self, build_share_packages_v1, open_header_v1, ColumnBundle, SharePackagesV1,
+    };
     use crate::package::{build_keyed_packages, build_share_packages, KeySchedule};
     use crate::path::construct_paths;
     use crate::substrate::{Overlay, OverlayConfig};
+    use emerge_crypto::keys::KeyShare;
+    use std::rc::Rc;
 
     const SECRET: &[u8] = b"THE SELF-EMERGING SECRET KEY 32B";
 
@@ -1209,6 +875,20 @@ mod tests {
             },
             seed,
         )
+    }
+
+    /// Combines key shares into a 32-byte key for the v1 oracle: `None`
+    /// below the threshold.
+    fn combine_key(shares: &[KeyShare], m: usize) -> Result<Option<SymmetricKey>, EmergeError> {
+        match shamir::combine(shares, m) {
+            Ok(bytes) => {
+                let mut kb = [0u8; 32];
+                kb.copy_from_slice(&bytes);
+                Ok(Some(SymmetricKey::from_bytes(kb)))
+            }
+            Err(CryptoError::NotEnoughShares { .. }) => Ok(None),
+            Err(e) => Err(EmergeError::Crypto(e)),
+        }
     }
 
     fn run_config(attack: AttackMode) -> RunConfig {
@@ -1377,11 +1057,292 @@ mod tests {
         assert!(drop.released.is_none());
     }
 
+    /// The pre-flattening `execute_share`, retained verbatim (nested
+    /// bundle parse + inner unwrap, memoized per column) against the
+    /// legacy v1 package types: a per-holder-inbox executor that shares
+    /// no code with [`execute_share_pooled`], and so its reference.
+    fn execute_share_v1<S: HolderSubstrate + ?Sized>(
+        substrate: &mut S,
+        plan: &PathPlan,
+        params: &SchemeParams,
+        packages: &SharePackagesV1,
+        config: &RunConfig,
+    ) -> Result<RunReport, EmergeError> {
+        let (k, l, n, m) = match params {
+            SchemeParams::Share { k, l, n, m } => (*k, *l, *n, m.clone()),
+            _ => {
+                return Err(EmergeError::InvalidParameters(
+                    "execute_share requires share parameters".into(),
+                ))
+            }
+        };
+        let th = config.emerging_period / l as u64;
+        let ts = config.ts;
+        let tr = ts + config.emerging_period;
+
+        #[derive(Default, Clone)]
+        struct Inbox {
+            bundle: Option<Rc<Vec<u8>>>,
+            core_onion: Option<Vec<u8>>,
+            key_shares: Vec<KeyShare>,
+            core_shares: Vec<KeyShare>,
+            direct_row_key: Option<SymmetricKey>,
+            direct_core_key: Option<SymmetricKey>,
+        }
+
+        let mut inboxes: Vec<Inbox> = vec![Inbox::default(); n * l];
+        let bundle0 = Rc::new(packages.bundle.clone());
+        for row in 0..n {
+            let inbox = &mut inboxes[row * l];
+            inbox.bundle = Some(bundle0.clone());
+            inbox.direct_row_key = Some(packages.col0_row_keys[row].clone());
+            if row < k {
+                inbox.core_onion = Some(packages.core_onion.clone());
+                inbox.direct_core_key = Some(packages.col0_core_key.clone());
+            }
+        }
+
+        let mut messages = n as u64;
+        let mut released: Option<(SimTime, Vec<u8>)> = None;
+        let mut failure: Option<String> = None;
+        let mut terminal_secrets: Vec<Vec<u8>> = Vec::new();
+
+        let mut adv_key_shares: Vec<Vec<KeyShare>> = vec![Vec::new(); l];
+        let mut adv_core_shares: Vec<Vec<KeyShare>> = vec![Vec::new(); l];
+        let mut adv_core_onion_col0: Option<Vec<u8>> = None;
+        let mut adv_direct_core_key: Option<SymmetricKey> = None;
+
+        let mut engine: Engine<Ev> = Engine::new();
+        engine.schedule_at(ts, Ev::Arrive { col: 0 });
+
+        while let Some((now, ev)) = engine.pop() {
+            match ev {
+                Ev::Arrive { col } => {
+                    let depart = now + th;
+                    let mut next: Vec<Inbox> = vec![Inbox::default(); n];
+                    let mut parsed_memo: Option<(Rc<Vec<u8>>, Rc<ColumnBundle>)> = None;
+                    let mut unwrap_memo: Option<(Rc<ColumnBundle>, SymmetricKey, Rc<Vec<u8>>)> =
+                        None;
+                    for row in 0..n {
+                        let inbox = std::mem::take(&mut inboxes[row * l + col]);
+                        let slot = plan.slot(row, col);
+                        let tenant = *substrate.generation_at(slot, now);
+
+                        let row_key = if col == 0 {
+                            inbox.direct_row_key.clone()
+                        } else if inbox.key_shares.len() >= m[col - 1] {
+                            combine_key(&inbox.key_shares, m[col - 1])?
+                        } else {
+                            None
+                        };
+                        let Some(row_key) = row_key else {
+                            continue;
+                        };
+                        let Some(bundle_bytes) = inbox.bundle.clone() else {
+                            continue;
+                        };
+                        let bundle: Rc<ColumnBundle> = match &parsed_memo {
+                            Some((blob, parsed)) if Rc::ptr_eq(blob, &bundle_bytes) => {
+                                parsed.clone()
+                            }
+                            _ => {
+                                let parsed = Rc::new(ColumnBundle::from_bytes(&bundle_bytes)?);
+                                parsed_memo = Some((bundle_bytes.clone(), parsed.clone()));
+                                parsed
+                            }
+                        };
+                        let Some(header) = bundle.headers.get(row) else {
+                            return Err(EmergeError::InvalidParameters(
+                                "bundle is missing this row's header".into(),
+                            ));
+                        };
+
+                        if config.attack == AttackMode::ReleaseAhead && tenant.malicious && col == 0
+                        {
+                            if let Some(core) = &inbox.core_onion {
+                                adv_core_onion_col0 = Some(core.clone());
+                            }
+                            if inbox.direct_core_key.is_some() {
+                                adv_direct_core_key = inbox.direct_core_key.clone();
+                            }
+                        }
+
+                        if config.attack == AttackMode::Drop && tenant.malicious {
+                            continue;
+                        }
+                        let survivor = substrate.generation_at(slot, depart).spawn == tenant.spawn;
+
+                        let payload = open_header_v1(&row_key, header)?;
+
+                        if config.attack == AttackMode::ReleaseAhead
+                            && tenant.malicious
+                            && col + 1 < l
+                        {
+                            if let Some(s) = payload.row_key_shares.first() {
+                                adv_key_shares[col + 1].push(s.clone());
+                            }
+                            if let Some(s) = &payload.core_key_share {
+                                adv_core_shares[col + 1].push(s.clone());
+                            }
+                        }
+
+                        let next_bundle: Option<Rc<Vec<u8>>> =
+                            match (&payload.bundle_key, &bundle.inner) {
+                                (Some(bk), Some(sealed)) => Some(match &unwrap_memo {
+                                    Some((parsed, key, bytes))
+                                        if Rc::ptr_eq(parsed, &bundle) && key == bk =>
+                                    {
+                                        bytes.clone()
+                                    }
+                                    _ => {
+                                        let bytes = Rc::new(legacy::open_inner_bytes(bk, sealed)?);
+                                        unwrap_memo =
+                                            Some((bundle.clone(), bk.clone(), bytes.clone()));
+                                        bytes
+                                    }
+                                }),
+                                _ => None,
+                            };
+
+                        let mut inner_core: Option<Vec<u8>> = None;
+                        let mut core_secret: Option<Vec<u8>> = None;
+                        if row < k {
+                            let core_key = if col == 0 {
+                                inbox.direct_core_key.clone()
+                            } else if inbox.core_shares.len() >= m[col - 1] {
+                                combine_key(&inbox.core_shares, m[col - 1])?
+                            } else {
+                                None
+                            };
+                            if let (Some(core_key), Some(core_onion)) =
+                                (core_key, inbox.core_onion.clone())
+                            {
+                                match peel(&core_key, &core_onion)? {
+                                    Peeled::Intermediate { inner, .. } => {
+                                        inner_core = Some(inner);
+                                    }
+                                    Peeled::Core { payload } => {
+                                        core_secret = Some(payload);
+                                    }
+                                }
+                            }
+                        }
+
+                        if col + 1 == l {
+                            if let Some(secret) = core_secret {
+                                terminal_secrets.push(secret);
+                            }
+                            continue;
+                        }
+
+                        if survivor {
+                            for (target_row, next_inbox) in next.iter_mut().enumerate() {
+                                if let Some(s) = payload.row_key_shares.get(target_row) {
+                                    next_inbox.key_shares.push(s.clone());
+                                    messages += 1;
+                                }
+                                if target_row < k {
+                                    if let Some(s) = &payload.core_key_share {
+                                        next_inbox.core_shares.push(s.clone());
+                                    }
+                                }
+                            }
+                        }
+                        if let Some(nb) = next_bundle {
+                            for next_inbox in &mut next {
+                                if next_inbox.bundle.is_none() {
+                                    next_inbox.bundle = Some(nb.clone());
+                                    messages += 1;
+                                }
+                            }
+                        }
+                        if row < k {
+                            if let Some(inner) = inner_core {
+                                for next_inbox in next.iter_mut().take(k) {
+                                    if next_inbox.core_onion.is_none() {
+                                        next_inbox.core_onion = Some(inner.clone());
+                                        messages += 1;
+                                    }
+                                }
+                            }
+                        }
+                    }
+
+                    if col + 1 < l {
+                        for (row, nb) in next.into_iter().enumerate() {
+                            inboxes[row * l + col + 1] = nb;
+                        }
+                        engine.schedule_at(depart, Ev::Arrive { col: col + 1 });
+                    } else {
+                        engine.schedule_at(tr, Ev::Release);
+                    }
+                }
+                Ev::Release => {
+                    if let Some(secret) = terminal_secrets.first() {
+                        released = Some((now, secret.clone()));
+                        messages += terminal_secrets.len() as u64;
+                    } else {
+                        failure = Some("no terminal onion row reconstructed the secret".into());
+                    }
+                }
+            }
+        }
+        if released.is_none() && failure.is_none() {
+            failure = Some("share flow starved before the terminal column".into());
+        }
+
+        let mut adversary_reconstruction: Option<(SimTime, Vec<u8>)> = None;
+        if config.attack == AttackMode::ReleaseAhead {
+            if let (Some(core_onion), Some(core_key0)) = (adv_core_onion_col0, adv_direct_core_key)
+            {
+                let mut onion = core_onion;
+                let mut when = ts;
+                for col in 0..l {
+                    let key = if col == 0 {
+                        Some(core_key0.clone())
+                    } else if adv_core_shares[col].len() >= m[col - 1] {
+                        when =
+                            when.max(ts + (config.emerging_period / l as u64) * (col as u64 - 1));
+                        combine_key(&adv_core_shares[col], m[col - 1])?
+                    } else {
+                        None
+                    };
+                    let Some(key) = key else {
+                        break;
+                    };
+                    if col + 1 == l {
+                        let (_, secret) = peel_core(&key, &onion)?;
+                        if when < tr {
+                            adversary_reconstruction = Some((when, secret));
+                        }
+                    } else {
+                        match peel(&key, &onion)? {
+                            Peeled::Intermediate { inner, .. } => onion = inner,
+                            Peeled::Core { payload } => {
+                                if when < tr {
+                                    adversary_reconstruction = Some((when, payload));
+                                }
+                                break;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        Ok(RunReport {
+            released,
+            failure,
+            adversary_reconstruction,
+            messages_sent: messages,
+        })
+    }
+
     #[test]
-    fn pooled_share_executor_matches_allocating_executor() {
+    fn pooled_share_executor_matches_the_v1_oracle() {
         // One scratch/report pair reused across every shape, malicious
         // fraction, churn level and attack mode: the pooled executor must
-        // reproduce the oracle bit for bit even on dirty buffers.
+        // reproduce the v1 oracle bit for bit even on dirty buffers.
         let mut scratch = ShareExecScratch::default();
         let mut pooled = PooledRunReport::default();
         let shapes = [
@@ -1410,6 +1371,7 @@ mod tests {
                     let plan = construct_paths(&overlay, &params, &sender_seed).unwrap();
                     let schedule = KeySchedule::new(sender_seed);
                     let pkgs = build_share_packages(&plan, &params, &schedule, SECRET).unwrap();
+                    let v1 = build_share_packages_v1(&plan, &params, &schedule, SECRET).unwrap();
                     for attack in [
                         AttackMode::Passive,
                         AttackMode::ReleaseAhead,
@@ -1417,7 +1379,7 @@ mod tests {
                     ] {
                         let config = run_config(attack);
                         let oracle =
-                            execute_share(&mut overlay, &plan, &params, &pkgs, &config).unwrap();
+                            execute_share_v1(&mut overlay, &plan, &params, &v1, &config).unwrap();
                         execute_share_pooled(
                             &mut overlay,
                             &plan,
@@ -1437,6 +1399,75 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A valid 5 × 3 share setup whose plan or packages a test then
+    /// mangles: `(overlay, params, plan, packages)`.
+    fn share_shape_setup() -> (Overlay, SchemeParams, PathPlan, SharePackages) {
+        let params = SchemeParams::Share {
+            k: 2,
+            l: 3,
+            n: 5,
+            m: vec![3, 3],
+        };
+        let overlay = overlay_with(100, 0.0, 12);
+        let sender_seed = SymmetricKey::from_bytes([12; 32]);
+        let plan = construct_paths(&overlay, &params, &sender_seed).unwrap();
+        let pkgs =
+            build_share_packages(&plan, &params, &KeySchedule::new(sender_seed), SECRET).unwrap();
+        (overlay, params, plan, pkgs)
+    }
+
+    /// The builder and the executor both reject `plan` as a mismatch with
+    /// `params` instead of indexing past it.
+    fn assert_plan_rejected(mangle: impl Fn(&mut PathPlan)) {
+        let (mut overlay, params, mut plan, pkgs) = share_shape_setup();
+        mangle(&mut plan);
+        let schedule = KeySchedule::new(SymmetricKey::from_bytes([12; 32]));
+        assert!(matches!(
+            build_share_packages(&plan, &params, &schedule, SECRET),
+            Err(EmergeError::InvalidParameters(_))
+        ));
+        let config = run_config(AttackMode::ReleaseAhead);
+        assert!(matches!(
+            execute_share(&mut overlay, &plan, &params, &pkgs, &config),
+            Err(EmergeError::InvalidParameters(_))
+        ));
+    }
+
+    #[test]
+    fn plan_with_fewer_rows_than_n_is_rejected() {
+        assert_plan_rejected(|plan| plan.rows -= 1);
+    }
+
+    #[test]
+    fn plan_with_more_columns_than_l_is_rejected() {
+        assert_plan_rejected(|plan| plan.cols += 1);
+    }
+
+    #[test]
+    fn plan_with_a_short_slot_list_is_rejected() {
+        assert_plan_rejected(|plan| {
+            plan.slots.pop();
+        });
+    }
+
+    #[test]
+    fn plan_with_a_short_target_list_is_rejected() {
+        assert_plan_rejected(|plan| {
+            plan.targets.pop();
+        });
+    }
+
+    #[test]
+    fn packages_without_a_row_key_per_row_are_rejected() {
+        let (mut overlay, params, plan, mut pkgs) = share_shape_setup();
+        pkgs.col0_row_keys.pop();
+        let config = run_config(AttackMode::ReleaseAhead);
+        assert!(matches!(
+            execute_share(&mut overlay, &plan, &params, &pkgs, &config),
+            Err(EmergeError::InvalidParameters(_))
+        ));
     }
 
     #[test]
@@ -1522,295 +1553,7 @@ mod tests {
     /// starvation — must end in the exact same [`RunReport`].
     mod format_oracle {
         use super::*;
-        use crate::package::legacy::{
-            self, build_share_packages_v1, open_header_v1, ColumnBundle, SharePackagesV1,
-        };
         use crate::substrate::AnalyticSubstrate;
-
-        /// The pre-flattening `execute_share`, retained verbatim (nested
-        /// bundle parse + inner unwrap, memoized per column) against the
-        /// legacy v1 package types.
-        fn execute_share_v1<S: HolderSubstrate + ?Sized>(
-            substrate: &mut S,
-            plan: &PathPlan,
-            params: &SchemeParams,
-            packages: &SharePackagesV1,
-            config: &RunConfig,
-        ) -> Result<RunReport, EmergeError> {
-            let (k, l, n, m) = match params {
-                SchemeParams::Share { k, l, n, m } => (*k, *l, *n, m.clone()),
-                _ => {
-                    return Err(EmergeError::InvalidParameters(
-                        "execute_share requires share parameters".into(),
-                    ))
-                }
-            };
-            let th = config.emerging_period / l as u64;
-            let ts = config.ts;
-            let tr = ts + config.emerging_period;
-
-            #[derive(Default, Clone)]
-            struct Inbox {
-                bundle: Option<Rc<Vec<u8>>>,
-                core_onion: Option<Vec<u8>>,
-                key_shares: Vec<KeyShare>,
-                core_shares: Vec<KeyShare>,
-                direct_row_key: Option<SymmetricKey>,
-                direct_core_key: Option<SymmetricKey>,
-            }
-
-            let mut inboxes: Vec<Inbox> = vec![Inbox::default(); n * l];
-            let bundle0 = Rc::new(packages.bundle.clone());
-            for row in 0..n {
-                let inbox = &mut inboxes[row * l];
-                inbox.bundle = Some(bundle0.clone());
-                inbox.direct_row_key = Some(packages.col0_row_keys[row].clone());
-                if row < k {
-                    inbox.core_onion = Some(packages.core_onion.clone());
-                    inbox.direct_core_key = Some(packages.col0_core_key.clone());
-                }
-            }
-
-            let mut messages = n as u64;
-            let mut released: Option<(SimTime, Vec<u8>)> = None;
-            let mut failure: Option<String> = None;
-            let mut terminal_secrets: Vec<Vec<u8>> = Vec::new();
-
-            let mut adv_key_shares: Vec<Vec<KeyShare>> = vec![Vec::new(); l];
-            let mut adv_core_shares: Vec<Vec<KeyShare>> = vec![Vec::new(); l];
-            let mut adv_core_onion_col0: Option<Vec<u8>> = None;
-            let mut adv_direct_core_key: Option<SymmetricKey> = None;
-
-            let mut engine: Engine<Ev> = Engine::new();
-            engine.schedule_at(ts, Ev::Arrive { col: 0 });
-
-            while let Some((now, ev)) = engine.pop() {
-                match ev {
-                    Ev::Arrive { col } => {
-                        let depart = now + th;
-                        let mut next: Vec<Inbox> = vec![Inbox::default(); n];
-                        let mut parsed_memo: Option<(Rc<Vec<u8>>, Rc<ColumnBundle>)> = None;
-                        let mut unwrap_memo: Option<(Rc<ColumnBundle>, SymmetricKey, Rc<Vec<u8>>)> =
-                            None;
-                        for row in 0..n {
-                            let inbox = std::mem::take(&mut inboxes[row * l + col]);
-                            let slot = plan.slot(row, col);
-                            let tenant = *substrate.generation_at(slot, now);
-
-                            let row_key = if col == 0 {
-                                inbox.direct_row_key.clone()
-                            } else if inbox.key_shares.len() >= m[col - 1] {
-                                combine_key(&inbox.key_shares, m[col - 1])?
-                            } else {
-                                None
-                            };
-                            let Some(row_key) = row_key else {
-                                continue;
-                            };
-                            let Some(bundle_bytes) = inbox.bundle.clone() else {
-                                continue;
-                            };
-                            let bundle: Rc<ColumnBundle> = match &parsed_memo {
-                                Some((blob, parsed)) if Rc::ptr_eq(blob, &bundle_bytes) => {
-                                    parsed.clone()
-                                }
-                                _ => {
-                                    let parsed = Rc::new(ColumnBundle::from_bytes(&bundle_bytes)?);
-                                    parsed_memo = Some((bundle_bytes.clone(), parsed.clone()));
-                                    parsed
-                                }
-                            };
-                            let Some(header) = bundle.headers.get(row) else {
-                                return Err(EmergeError::InvalidParameters(
-                                    "bundle is missing this row's header".into(),
-                                ));
-                            };
-
-                            if config.attack == AttackMode::ReleaseAhead
-                                && tenant.malicious
-                                && col == 0
-                            {
-                                if let Some(core) = &inbox.core_onion {
-                                    adv_core_onion_col0 = Some(core.clone());
-                                }
-                                if inbox.direct_core_key.is_some() {
-                                    adv_direct_core_key = inbox.direct_core_key.clone();
-                                }
-                            }
-
-                            if config.attack == AttackMode::Drop && tenant.malicious {
-                                continue;
-                            }
-                            let survivor =
-                                substrate.generation_at(slot, depart).spawn == tenant.spawn;
-
-                            let payload = open_header_v1(&row_key, header)?;
-
-                            if config.attack == AttackMode::ReleaseAhead
-                                && tenant.malicious
-                                && col + 1 < l
-                            {
-                                if let Some(s) = payload.row_key_shares.first() {
-                                    adv_key_shares[col + 1].push(s.clone());
-                                }
-                                if let Some(s) = &payload.core_key_share {
-                                    adv_core_shares[col + 1].push(s.clone());
-                                }
-                            }
-
-                            let next_bundle: Option<Rc<Vec<u8>>> =
-                                match (&payload.bundle_key, &bundle.inner) {
-                                    (Some(bk), Some(sealed)) => Some(match &unwrap_memo {
-                                        Some((parsed, key, bytes))
-                                            if Rc::ptr_eq(parsed, &bundle) && key == bk =>
-                                        {
-                                            bytes.clone()
-                                        }
-                                        _ => {
-                                            let bytes =
-                                                Rc::new(legacy::open_inner_bytes(bk, sealed)?);
-                                            unwrap_memo =
-                                                Some((bundle.clone(), bk.clone(), bytes.clone()));
-                                            bytes
-                                        }
-                                    }),
-                                    _ => None,
-                                };
-
-                            let mut inner_core: Option<Vec<u8>> = None;
-                            let mut core_secret: Option<Vec<u8>> = None;
-                            if row < k {
-                                let core_key = if col == 0 {
-                                    inbox.direct_core_key.clone()
-                                } else if inbox.core_shares.len() >= m[col - 1] {
-                                    combine_key(&inbox.core_shares, m[col - 1])?
-                                } else {
-                                    None
-                                };
-                                if let (Some(core_key), Some(core_onion)) =
-                                    (core_key, inbox.core_onion.clone())
-                                {
-                                    match peel(&core_key, &core_onion)? {
-                                        Peeled::Intermediate { inner, .. } => {
-                                            inner_core = Some(inner);
-                                        }
-                                        Peeled::Core { payload } => {
-                                            core_secret = Some(payload);
-                                        }
-                                    }
-                                }
-                            }
-
-                            if col + 1 == l {
-                                if let Some(secret) = core_secret {
-                                    terminal_secrets.push(secret);
-                                }
-                                continue;
-                            }
-
-                            if survivor {
-                                for (target_row, next_inbox) in next.iter_mut().enumerate() {
-                                    if let Some(s) = payload.row_key_shares.get(target_row) {
-                                        next_inbox.key_shares.push(s.clone());
-                                        messages += 1;
-                                    }
-                                    if target_row < k {
-                                        if let Some(s) = &payload.core_key_share {
-                                            next_inbox.core_shares.push(s.clone());
-                                        }
-                                    }
-                                }
-                            }
-                            if let Some(nb) = next_bundle {
-                                for next_inbox in &mut next {
-                                    if next_inbox.bundle.is_none() {
-                                        next_inbox.bundle = Some(nb.clone());
-                                        messages += 1;
-                                    }
-                                }
-                            }
-                            if row < k {
-                                if let Some(inner) = inner_core {
-                                    for next_inbox in next.iter_mut().take(k) {
-                                        if next_inbox.core_onion.is_none() {
-                                            next_inbox.core_onion = Some(inner.clone());
-                                            messages += 1;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-
-                        if col + 1 < l {
-                            for (row, nb) in next.into_iter().enumerate() {
-                                inboxes[row * l + col + 1] = nb;
-                            }
-                            engine.schedule_at(depart, Ev::Arrive { col: col + 1 });
-                        } else {
-                            engine.schedule_at(tr, Ev::Release);
-                        }
-                    }
-                    Ev::Release => {
-                        if let Some(secret) = terminal_secrets.first() {
-                            released = Some((now, secret.clone()));
-                            messages += terminal_secrets.len() as u64;
-                        } else {
-                            failure = Some("no terminal onion row reconstructed the secret".into());
-                        }
-                    }
-                }
-            }
-            if released.is_none() && failure.is_none() {
-                failure = Some("share flow starved before the terminal column".into());
-            }
-
-            let mut adversary_reconstruction: Option<(SimTime, Vec<u8>)> = None;
-            if config.attack == AttackMode::ReleaseAhead {
-                if let (Some(core_onion), Some(core_key0)) =
-                    (adv_core_onion_col0, adv_direct_core_key)
-                {
-                    let mut onion = core_onion;
-                    let mut when = ts;
-                    for col in 0..l {
-                        let key = if col == 0 {
-                            Some(core_key0.clone())
-                        } else if adv_core_shares[col].len() >= m[col - 1] {
-                            when = when
-                                .max(ts + (config.emerging_period / l as u64) * (col as u64 - 1));
-                            combine_key(&adv_core_shares[col], m[col - 1])?
-                        } else {
-                            None
-                        };
-                        let Some(key) = key else {
-                            break;
-                        };
-                        if col + 1 == l {
-                            let (_, secret) = peel_core(&key, &onion)?;
-                            if when < tr {
-                                adversary_reconstruction = Some((when, secret));
-                            }
-                        } else {
-                            match peel(&key, &onion)? {
-                                Peeled::Intermediate { inner, .. } => onion = inner,
-                                Peeled::Core { payload } => {
-                                    if when < tr {
-                                        adversary_reconstruction = Some((when, payload));
-                                    }
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-
-            Ok(RunReport {
-                released,
-                failure,
-                adversary_reconstruction,
-                messages_sent: messages,
-            })
-        }
 
         #[test]
         fn v1_and_v2_runs_produce_identical_reports() {

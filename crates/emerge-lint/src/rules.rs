@@ -32,14 +32,17 @@ impl RuleCtx<'_> {
 }
 
 /// Hot-path functions beyond the `*_into` / `*_pooled` naming convention:
-/// the pooled trial pipeline's steady-state entry points whose allocation
-/// freedom the PR 6 counting-allocator test asserts at runtime.
+/// the share trial pipeline's steady-state entry points whose allocation
+/// freedom the `alloc_discipline` counting-allocator tests assert at
+/// runtime.
 pub const HOT_PATH_FNS: &[&str] = &[
     "rebuild",
     "resample",
     "reset",
     "open_segment",
-    "pooled_trial_digest",
+    "run_trial_loop",
+    "run_protocol_trial",
+    "trial_digest",
 ];
 
 /// Identifier substrings treated as secret material by the constant-time

@@ -22,12 +22,22 @@
 //! `emerge_core::protocol` proves v1 and v2 reports equal field by
 //! field). A fingerprint change here after a packaging edit therefore
 //! still means real protocol behaviour drifted.
+//!
+//! **One share pipeline.** The allocating share builder and executor were
+//! later folded into the buffer-reusing ones, which became the only
+//! implementation on every substrate. The constants above were unchanged
+//! by it, and so were the faulted goldens ([`FAULTED_GOLDEN`]), recorded
+//! with the allocating executor just before the fold: faulted share
+//! trials switched executors there, and until then no constant pinned
+//! them.
 
 use self_emerging_data::contract::substrate::{ContractConfig, ContractSubstrate};
 use self_emerging_data::core::config::SchemeParams;
+use self_emerging_data::core::faults::run_faulted_trials;
 use self_emerging_data::core::montecarlo::{run_protocol_trials, ProtocolTrialSpec};
 use self_emerging_data::core::protocol::AttackMode;
 use self_emerging_data::core::substrate::{AnalyticSubstrate, Overlay, OverlayConfig};
+use self_emerging_data::faults::{FaultPlan, RecoveryPolicy, Scenario};
 use self_emerging_data::sim::time::SimDuration;
 
 const SEED: u64 = 0x601D;
@@ -139,5 +149,71 @@ fn contract_fingerprints_match_golden() {
             r.fingerprint, *expected,
             "{name}: contract fingerprint diverged from golden"
         );
+    }
+}
+
+/// Fault plans of the faulted goldens: intensity, plan horizon (the
+/// 3 000-tick emerging period plus headroom) and plan seed.
+fn faulted_plan(scenario: Scenario) -> FaultPlan {
+    scenario.plan(400_000, 4_000, 7)
+}
+
+/// `(scenario, cell, base fingerprint, fault fingerprint)` of faulted
+/// runs, recorded with the allocating share executor before the pooled
+/// executor replaced it. The fault suites only compare runs with each
+/// other, so these are the constants that pin faulted share trials. The
+/// analytic and contract substrates must both reproduce them.
+const FAULTED_GOLDEN: [(Scenario, &str, u64, u64); 4] = [
+    (
+        Scenario::CrashStorm,
+        "share_6x4",
+        0xe6da2d2bc2319deb,
+        0xe447939d5e1986cc,
+    ),
+    (
+        Scenario::CrashStorm,
+        "joint_3x4",
+        0x351113e1538c07ec,
+        0x0056c5eab1409dd2,
+    ),
+    (
+        Scenario::LossBurst,
+        "share_6x4",
+        0x2420ba268959cd52,
+        0x721bd0eae4f232b5,
+    ),
+    (
+        Scenario::LossBurst,
+        "joint_3x4",
+        0x351113e1538c07ec,
+        0x2f799533e448eab8,
+    ),
+];
+
+#[test]
+fn faulted_fingerprints_match_golden() {
+    let policy = RecoveryPolicy::default();
+    for (scenario, name, base, fault) in FAULTED_GOLDEN {
+        let (_, spec) = cells()
+            .into_iter()
+            .find(|(n, _)| *n == name)
+            .expect("every faulted golden names a cell");
+        let plan = faulted_plan(scenario);
+        let analytic = run_faulted_trials(&spec, &plan, policy, TRIALS, SEED, |s| {
+            AnalyticSubstrate::build(world_config(), s)
+        })
+        .unwrap();
+        let contract = run_faulted_trials(&spec, &plan, policy, TRIALS, SEED, |s| {
+            ContractSubstrate::build(ContractConfig::over(world_config()), s)
+        })
+        .unwrap();
+        for (substrate, r) in [("analytic", analytic), ("contract", contract)] {
+            assert_eq!(
+                (r.base.fingerprint, r.fault_fingerprint),
+                (base, fault),
+                "{scenario:?} {name} on {substrate}: faulted fingerprints \
+                 diverged from golden"
+            );
+        }
     }
 }

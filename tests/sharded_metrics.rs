@@ -11,9 +11,7 @@
 //! which no two runs reproduce. Their *counts* still merge exactly and
 //! are compared.)
 
-use emerge_bench::mc::{
-    run_bonded_trials_profiled, run_protocol_trials_pooled_profiled, run_protocol_trials_profiled,
-};
+use emerge_bench::mc::{run_bonded_trials_profiled, run_protocol_trials_profiled};
 use proptest::prelude::*;
 use self_emerging_data::core::config::{SchemeKind, SchemeParams};
 use self_emerging_data::core::montecarlo::{run_protocol_trials, ProtocolTrialSpec};
@@ -68,6 +66,8 @@ fn assert_telemetry_identical(label: &str, serial: &MetricsSnapshot, sharded: &M
     }
 }
 
+/// The share cell runs the zero-allocation share pipeline (the pooled
+/// builder and executor) inside the profiled driver.
 #[test]
 fn pooled_profiled_telemetry_is_thread_count_invariant() {
     let spec = share_spec();
@@ -76,15 +76,9 @@ fn pooled_profiled_telemetry_is_thread_count_invariant() {
     let outcome_reference =
         run_protocol_trials(&spec, trials, 9, |s| AnalyticSubstrate::build(cfg, s)).unwrap();
 
-    let (serial_results, serial_telemetry) = run_protocol_trials_pooled_profiled(
-        &spec,
-        trials,
-        9,
-        1,
-        || AnalyticSubstrate::build(cfg, 0),
-        |s, seed| s.rebuild(seed),
-    )
-    .unwrap();
+    let (serial_results, serial_telemetry) =
+        run_protocol_trials_profiled(&spec, trials, 9, 1, |s| AnalyticSubstrate::build(cfg, s))
+            .unwrap();
     assert_eq!(serial_results.fingerprint, outcome_reference.fingerprint);
 
     // The expected per-trial counters actually landed.
@@ -110,14 +104,9 @@ fn pooled_profiled_telemetry_is_thread_count_invariant() {
     );
 
     for threads in THREAD_COUNTS {
-        let (results, telemetry) = run_protocol_trials_pooled_profiled(
-            &spec,
-            trials,
-            9,
-            threads,
-            || AnalyticSubstrate::build(cfg, 0),
-            |s, seed| s.rebuild(seed),
-        )
+        let (results, telemetry) = run_protocol_trials_profiled(&spec, trials, 9, threads, |s| {
+            AnalyticSubstrate::build(cfg, s)
+        })
         .unwrap();
         assert_eq!(
             results.fingerprint, serial_results.fingerprint,
@@ -214,8 +203,9 @@ fn bonded_profiled_telemetry_is_thread_count_invariant() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Property form over seeds and trial counts: the pooled profiled
-    /// driver's counter telemetry is thread-count invariant.
+    /// Property form over seeds and trial counts: the profiled driver's
+    /// counter telemetry over the share pipeline is thread-count
+    /// invariant.
     #[test]
     fn pooled_telemetry_digest_property(
         seed in 0u64..10_000,
@@ -223,16 +213,12 @@ proptest! {
     ) {
         let spec = share_spec();
         let cfg = world(0.3);
-        let (serial_results, serial_telemetry) = run_protocol_trials_pooled_profiled(
-            &spec, trials, seed, 1,
-            || AnalyticSubstrate::build(cfg, 0),
-            |s, w| s.rebuild(w),
+        let (serial_results, serial_telemetry) = run_protocol_trials_profiled(
+            &spec, trials, seed, 1, |s| AnalyticSubstrate::build(cfg, s),
         ).unwrap();
         for threads in THREAD_COUNTS {
-            let (results, telemetry) = run_protocol_trials_pooled_profiled(
-                &spec, trials, seed, threads,
-                || AnalyticSubstrate::build(cfg, 0),
-                |s, w| s.rebuild(w),
+            let (results, telemetry) = run_protocol_trials_profiled(
+                &spec, trials, seed, threads, |s| AnalyticSubstrate::build(cfg, s),
             ).unwrap();
             prop_assert_eq!(results.fingerprint, serial_results.fingerprint);
             prop_assert_eq!(&telemetry.counters, &serial_telemetry.counters);
